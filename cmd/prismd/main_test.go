@@ -117,11 +117,11 @@ func TestUsageErrors(t *testing.T) {
 	cases := [][]string{
 		{},
 		{"bogus"},
-		{"serve", "-addr"},            // flag needs a value
-		{"serve", "stray-arg"},        // serve takes none
-		{"submit", "-nosuch"},         // unknown flag
+		{"serve", "-addr"},                 // flag needs a value
+		{"serve", "stray-arg"},             // serve takes none
+		{"submit", "-nosuch"},              // unknown flag
 		{"status", "-addr", "x", "a", "b"}, // too many args
-		{"cancel"},                    // missing job id
+		{"cancel"},                         // missing job id
 	}
 	for _, args := range cases {
 		if code, _, _ := cli(t, args...); code != 2 {

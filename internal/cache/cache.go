@@ -9,6 +9,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"prism/internal/mem"
 )
@@ -78,6 +79,7 @@ type Cache struct {
 	sets      int
 	ways      int
 	lineShift uint
+	setShift  uint // log2(sets): where the tag starts in a line address
 	setMask   uint64
 	lines     []line // sets*ways, row-major by set
 	clock     uint64
@@ -120,15 +122,12 @@ func New(name string, cfg Config) *Cache {
 		panic(err)
 	}
 	sets := cfg.Size / (cfg.Ways * cfg.LineSize)
-	var shift uint
-	for 1<<shift < cfg.LineSize {
-		shift++
-	}
 	return &Cache{
 		name:      name,
 		sets:      sets,
 		ways:      cfg.Ways,
-		lineShift: shift,
+		lineShift: uint(bits.TrailingZeros(uint(cfg.LineSize))),
+		setShift:  uint(bits.TrailingZeros(uint(sets))),
 		setMask:   uint64(sets - 1),
 		lines:     make([]line, sets*cfg.Ways),
 	}
@@ -154,15 +153,7 @@ func (c *Cache) LineSize() int { return 1 << c.lineShift }
 
 func (c *Cache) index(pa mem.PAddr) (set int, tag uint64) {
 	la := uint64(pa) >> c.lineShift
-	return int(la & c.setMask), la >> uint(log2(c.sets))
-}
-
-func log2(v int) uint {
-	var s uint
-	for 1<<s < v {
-		s++
-	}
-	return s
+	return int(la & c.setMask), la >> c.setShift
 }
 
 func (c *Cache) find(set int, tag uint64) int {
@@ -275,7 +266,7 @@ func (c *Cache) Insert(pa mem.PAddr, st State) Victim {
 }
 
 func (c *Cache) lineAddr(set int, tag uint64) mem.PAddr {
-	la := tag<<uint(log2(c.sets)) | uint64(set)
+	la := tag<<c.setShift | uint64(set)
 	return mem.PAddr(la << c.lineShift)
 }
 

@@ -603,7 +603,9 @@ func (m *Machine) RestoreSnapshot(w Workload, snap *MachineSnapshot) error {
 
 	for i, p := range m.Procs {
 		ps := snap.Procs[i]
-		p.ImportState(ps.Proc)
+		if err := p.ImportState(ps.Proc); err != nil {
+			return err
+		}
 		if err := p.L1().ImportState(ps.L1); err != nil {
 			return err
 		}

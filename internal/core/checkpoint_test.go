@@ -3,9 +3,11 @@ package core
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 
 	"prism/internal/mem"
+	"prism/internal/node"
 	"prism/internal/sim"
 )
 
@@ -168,6 +170,53 @@ func TestRestoreStateMatchesCapture(t *testing.T) {
 	// The machine is still restorable after the probe: resume must work.
 	if _, err := m2.Resume(mk()); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRestoreRejectsBadTLBState feeds hand-built malformed TLB
+// snapshots through RestoreSnapshot: each must fail with a one-line
+// error naming the processor, never a panic.
+func TestRestoreRejectsBadTLBState(t *testing.T) {
+	mk := func() *ckptWorkload { return &ckptWorkload{iters: 6, words: 512} }
+	snap, _, err := newCkptMachine(t).RecordCheckpoint(mk(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap == nil {
+		t.Fatal("no checkpoint captured")
+	}
+	var enc bytes.Buffer
+	if err := WriteSnapshot(&enc, snap); err != nil {
+		t.Fatal(err)
+	}
+
+	entry := func(page uint32, lru uint64) node.TLBEntryState {
+		return node.TLBEntryState{Seg: 1, Page: page, Frame: mem.FrameID(page), LRU: lru}
+	}
+	overfull := node.TLBState{Clock: 1000}
+	for i := 0; i <= ckptConfig(t).Node.TLBEntries; i++ {
+		overfull.Entries = append(overfull.Entries, entry(uint32(i), uint64(i+1)))
+	}
+	cases := map[string]node.TLBState{
+		"over capacity":   overfull,
+		"duplicate page":  {Clock: 10, Entries: []node.TLBEntryState{entry(3, 1), entry(3, 2)}},
+		"duplicate stamp": {Clock: 10, Entries: []node.TLBEntryState{entry(3, 5), entry(4, 5)}},
+	}
+	const proc = 2
+	for name, bad := range cases {
+		s, err := ReadSnapshot(bytes.NewReader(enc.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Procs[proc].Proc.TLB = bad
+		err = newCkptMachine(t).RestoreSnapshot(mk(), s)
+		if err == nil {
+			t.Errorf("%s: restore accepted the snapshot", name)
+			continue
+		}
+		if msg := err.Error(); !strings.Contains(msg, "proc 2:") || strings.Contains(msg, "\n") {
+			t.Errorf("%s: error %q does not name proc %d on one line", name, msg, proc)
+		}
 	}
 }
 

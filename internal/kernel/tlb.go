@@ -24,7 +24,7 @@ import (
 // a miss: the counter measures map-lookup work avoided, not mapping
 // coverage.
 type softTLB struct {
-	keys  []uint64 // packed virtual page numbers; 0 = empty slot
+	keys  []uint64 // mem.VPage.Key of each slot; 0 = empty slot
 	ptes  []PTE
 	Stats TLBStats
 }
@@ -40,11 +40,6 @@ type TLBStats struct {
 // the working set of hot pages fits.
 const tlbSize = 512
 
-// vpKey packs a virtual page into a nonzero tag.
-func vpKey(vp mem.VPage) uint64 {
-	return (uint64(vp.Seg)<<32 | uint64(vp.Page)) + 1
-}
-
 func tlbIndex(vp mem.VPage) uint64 {
 	return (uint64(vp.Page) ^ uint64(vp.Seg)<<6) & (tlbSize - 1)
 }
@@ -55,7 +50,7 @@ func newSoftTLB() softTLB {
 
 func (t *softTLB) lookup(vp mem.VPage) (PTE, bool) {
 	i := tlbIndex(vp)
-	if t.keys[i] == vpKey(vp) {
+	if t.keys[i] == vp.Key() {
 		t.Stats.Hits++
 		return t.ptes[i], true
 	}
@@ -65,7 +60,7 @@ func (t *softTLB) lookup(vp mem.VPage) (PTE, bool) {
 
 func (t *softTLB) install(vp mem.VPage, pte PTE) {
 	i := tlbIndex(vp)
-	t.keys[i] = vpKey(vp)
+	t.keys[i] = vp.Key()
 	t.ptes[i] = pte
 }
 
@@ -73,7 +68,7 @@ func (t *softTLB) install(vp mem.VPage, pte PTE) {
 // different page is left alone — it is still coherent.
 func (t *softTLB) invalidate(vp mem.VPage) {
 	i := tlbIndex(vp)
-	if t.keys[i] == vpKey(vp) {
+	if t.keys[i] == vp.Key() {
 		t.keys[i] = 0
 	}
 }
@@ -90,7 +85,7 @@ func (k *Kernel) CheckTLB() error {
 		if key == 0 {
 			continue
 		}
-		vp := mem.VPage{Seg: mem.VSID((key - 1) >> 32), Page: uint32(key - 1)}
+		vp := mem.VPageFromKey(key)
 		pte, ok := k.pt[vp]
 		if !ok {
 			return fmt.Errorf("kernel: node %d: TLB serves unmapped %v", k.node, vp)

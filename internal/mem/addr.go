@@ -14,7 +14,10 @@
 //     is the fault-containment boundary.
 package mem
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Geometry describes page and cache-line sizes. Both must be powers of
 // two and a page must hold a whole number of lines.
@@ -43,19 +46,11 @@ func (g Geometry) Validate() error {
 // LinesPerPage returns the number of cache lines in one page.
 func (g Geometry) LinesPerPage() int { return g.PageSize / g.LineSize }
 
-// PageShift returns log2(PageSize).
-func (g Geometry) PageShift() uint { return log2(g.PageSize) }
+// PageShift returns log2(PageSize) (PageSize is a power of two).
+func (g Geometry) PageShift() uint { return uint(bits.TrailingZeros(uint(g.PageSize))) }
 
-// LineShift returns log2(LineSize).
-func (g Geometry) LineShift() uint { return log2(g.LineSize) }
-
-func log2(v int) uint {
-	var s uint
-	for 1<<s < v {
-		s++
-	}
-	return s
-}
+// LineShift returns log2(LineSize) (LineSize is a power of two).
+func (g Geometry) LineShift() uint { return uint(bits.TrailingZeros(uint(g.LineSize))) }
 
 // MaxNodes bounds the machine's node count. It sizes the fixed-width
 // node bitmaps (directory sharer sets) and is what core.Config.Validate
@@ -101,6 +96,13 @@ type VPage struct {
 }
 
 func (p VPage) String() string { return fmt.Sprintf("vpage[%d:%d]", p.Seg, p.Page) }
+
+// Key packs p into a nonzero integer, so flat translation tables can
+// use 0 to mark an empty slot. VPageFromKey inverts it.
+func (p VPage) Key() uint64 { return (uint64(p.Seg)<<32 | uint64(p.Page)) + 1 }
+
+// VPageFromKey unpacks a nonzero VPage.Key.
+func VPageFromKey(k uint64) VPage { return VPage{Seg: VSID((k - 1) >> 32), Page: uint32(k - 1)} }
 
 // Page returns the virtual page containing a, given geometry g.
 func (a VAddr) Page(g Geometry) VPage {

@@ -518,12 +518,18 @@ func (p *Proc) fault(vp mem.VPage) {
 	}
 }
 
-// tlb is a small fully-associative LRU TLB.
+// tlb is a small fully-associative LRU TLB held in flat slot arrays:
+// packed page keys (mem.VPage.Key, 0 = empty slot), frames and LRU
+// stamps. Every hit and insert stamps its slot with a fresh clock++,
+// so stamps are unique and the minimum-stamp slot is the least
+// recently used entry. last remembers the most recently used slot, so
+// consecutive references to one page cost a single compare.
 type tlb struct {
-	cap     int
-	entries map[mem.VPage]mem.FrameID
-	lru     map[mem.VPage]uint64
-	clock   uint64
+	keys   []uint64
+	frames []mem.FrameID
+	stamps []uint64
+	last   int
+	clock  uint64
 }
 
 func newTLB(capacity int) *tlb {
@@ -531,48 +537,57 @@ func newTLB(capacity int) *tlb {
 		capacity = 64
 	}
 	return &tlb{
-		cap:     capacity,
-		entries: make(map[mem.VPage]mem.FrameID, capacity),
-		lru:     make(map[mem.VPage]uint64, capacity),
+		keys:   make([]uint64, capacity),
+		frames: make([]mem.FrameID, capacity),
+		stamps: make([]uint64, capacity),
 	}
+}
+
+// find returns the slot holding key, or -1.
+func (t *tlb) find(key uint64) int {
+	for i, k := range t.keys {
+		if k == key {
+			return i
+		}
+	}
+	return -1
 }
 
 func (t *tlb) lookup(vp mem.VPage) (mem.FrameID, bool) {
-	f, ok := t.entries[vp]
-	if ok {
-		t.clock++
-		t.lru[vp] = t.clock
-	}
-	return f, ok
-}
-
-func (t *tlb) insert(vp mem.VPage, f mem.FrameID) {
-	if len(t.entries) >= t.cap {
-		var victim mem.VPage
-		first := true
-		var min uint64
-		for e, c := range t.lru {
-			if first || c < min || (c == min && less(e, victim)) {
-				victim, min, first = e, c, false
-			}
+	key := vp.Key()
+	i := t.last
+	if t.keys[i] != key {
+		if i = t.find(key); i < 0 {
+			return 0, false
 		}
-		delete(t.entries, victim)
-		delete(t.lru, victim)
+		t.last = i
 	}
 	t.clock++
-	t.entries[vp] = f
-	t.lru[vp] = t.clock
+	t.stamps[i] = t.clock
+	return t.frames[i], true
 }
 
-// less gives a deterministic tie-break for equal LRU counters.
-func less(a, b mem.VPage) bool {
-	if a.Seg != b.Seg {
-		return a.Seg < b.Seg
+// insert installs a translation for a page that is not resident,
+// taking the first empty slot or, when the TLB is full, the least
+// recently used one.
+func (t *tlb) insert(vp mem.VPage, f mem.FrameID) {
+	slot := 0
+	for i, k := range t.keys {
+		if k == 0 {
+			slot = i
+			break
+		}
+		if t.stamps[i] < t.stamps[slot] {
+			slot = i
+		}
 	}
-	return a.Page < b.Page
+	t.clock++
+	t.keys[slot], t.frames[slot], t.stamps[slot] = vp.Key(), f, t.clock
+	t.last = slot
 }
 
 func (t *tlb) invalidate(vp mem.VPage) {
-	delete(t.entries, vp)
-	delete(t.lru, vp)
+	if i := t.find(vp.Key()); i >= 0 {
+		t.keys[i] = 0
+	}
 }

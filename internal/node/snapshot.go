@@ -1,6 +1,7 @@
 package node
 
 import (
+	"fmt"
 	"sort"
 
 	"prism/internal/mem"
@@ -42,17 +43,25 @@ func (p *Proc) ExportState() ProcState {
 	return ProcState{Now: p.now, Stats: p.Stats, TLB: p.tlb.exportState()}
 }
 
-// ImportState restores the processor.
-func (p *Proc) ImportState(s ProcState) {
+// ImportState restores the processor. A malformed TLB snapshot (more
+// entries than the TLB holds, a page twice, or LRU stamps that are not
+// distinct clock values) is rejected with an error and changes nothing.
+func (p *Proc) ImportState(s ProcState) error {
+	if err := p.tlb.importState(s.TLB); err != nil {
+		return fmt.Errorf("node: proc %d: %w", p.ID, err)
+	}
 	p.now = s.Now
 	p.Stats = s.Stats
-	p.tlb.importState(s.TLB)
+	return nil
 }
 
 func (t *tlb) exportState() TLBState {
 	s := TLBState{Clock: t.clock}
-	for vp, f := range t.entries {
-		s.Entries = append(s.Entries, TLBEntryState{Seg: vp.Seg, Page: vp.Page, Frame: f, LRU: t.lru[vp]})
+	for i, k := range t.keys {
+		if k != 0 {
+			vp := mem.VPageFromKey(k)
+			s.Entries = append(s.Entries, TLBEntryState{Seg: vp.Seg, Page: vp.Page, Frame: t.frames[i], LRU: t.stamps[i]})
+		}
 	}
 	sort.Slice(s.Entries, func(i, j int) bool {
 		a, b := s.Entries[i], s.Entries[j]
@@ -64,15 +73,32 @@ func (t *tlb) exportState() TLBState {
 	return s
 }
 
-func (t *tlb) importState(s TLBState) {
-	t.clock = s.Clock
-	t.entries = make(map[mem.VPage]mem.FrameID, len(s.Entries))
-	t.lru = make(map[mem.VPage]uint64, len(s.Entries))
-	for _, e := range s.Entries {
-		vp := mem.VPage{Seg: e.Seg, Page: e.Page}
-		t.entries[vp] = e.Frame
-		t.lru[vp] = e.LRU
+func (t *tlb) importState(s TLBState) error {
+	if len(s.Entries) > len(t.keys) {
+		return fmt.Errorf("TLB snapshot has %d entries, capacity is %d", len(s.Entries), len(t.keys))
 	}
+	for i, e := range s.Entries {
+		vp := mem.VPage{Seg: e.Seg, Page: e.Page}
+		if e.LRU > s.Clock {
+			return fmt.Errorf("TLB snapshot stamps %v with LRU %d, past clock %d", vp, e.LRU, s.Clock)
+		}
+		for _, d := range s.Entries[:i] {
+			switch {
+			case d.Seg == e.Seg && d.Page == e.Page:
+				return fmt.Errorf("TLB snapshot has %v twice", vp)
+			case d.LRU == e.LRU:
+				return fmt.Errorf("TLB snapshot has LRU stamp %d twice", e.LRU)
+			}
+		}
+	}
+	clear(t.keys)
+	for i, e := range s.Entries {
+		t.keys[i] = mem.VPage{Seg: e.Seg, Page: e.Page}.Key()
+		t.frames[i] = e.Frame
+		t.stamps[i] = e.LRU
+	}
+	t.clock = s.Clock
+	return nil
 }
 
 // NodeState is the node-level hardware state outside the processors:

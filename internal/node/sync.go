@@ -57,8 +57,8 @@ type SyncDomain struct {
 	// BarrierOps and LockOps count completed operations. On parallel
 	// machines the per-node slices are used instead — each slot is
 	// written only by its node's shard — and exports sum both.
-	BarrierOps uint64
-	LockOps    uint64
+	BarrierOps  uint64
+	LockOps     uint64
 	barrierOpsN []uint64
 	lockOpsN    []uint64
 }

@@ -8,7 +8,7 @@ import (
 // MetricsCell is one sweep cell's telemetry export, exactly the bytes
 // harness would have written to <MetricsDir>/<cell>.json.
 type MetricsCell struct {
-	Cell string `json:"cell"` // "<app>_<policy>"
+	Cell string `json:"cell"` // "<harness.SpecFileName(app)>_<policy>"
 	JSON []byte `json:"json"`
 }
 

@@ -332,6 +332,10 @@ func (s *Server) runJob(job *Job) {
 		}
 	}
 	s.cache.Put(job.Digest, res)
+	// Leave the single-flight table before publishing: once a waiter
+	// sees the job done, an identical resubmission is a cache hit, not
+	// a dedup onto this finished job.
+	s.removeInflight(job)
 	job.complete(res, false)
 	s.completed.Add(1)
 	s.logf("job %s done (%d cells)", job.ID, strings.Count(string(res.CSV), "\n")-1)
@@ -345,12 +349,13 @@ func (s *Server) failJob(job *Job, err error) {
 
 // readMetricsCells collects the per-cell telemetry exports the sweep
 // wrote, in deterministic spec order (apps major, policies minor —
-// the same order the CSV rows use).
+// the same order the CSV rows use). Cells are named like the files,
+// after the flattened app spec (harness.SpecFileName).
 func readMetricsCells(dir string, spec *Spec) ([]MetricsCell, error) {
 	var out []MetricsCell
 	for _, app := range spec.Apps {
 		for _, pol := range spec.Policies {
-			cell := app + "_" + pol
+			cell := harness.SpecFileName(app) + "_" + pol
 			data, err := os.ReadFile(filepath.Join(dir, cell+".json"))
 			if errors.Is(err, os.ErrNotExist) {
 				continue

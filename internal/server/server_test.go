@@ -7,11 +7,14 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"prism/internal/harness"
 	"prism/internal/metrics"
 	"prism/internal/server"
 	"prism/internal/server/client"
@@ -432,5 +435,117 @@ func TestPrismcaseSubmitAndExport(t *testing.T) {
 	}
 	if len(back.PageCacheCaps) == 0 {
 		t.Errorf("exported capped-policy case carries no derived page-cache caps")
+	}
+}
+
+// A parameterized-app job with metrics on returns one cell per app ×
+// policy, named and byte-equal like the files a local -metrics sweep
+// writes (harness.SpecFileName(app)_policy.json).
+func TestMetricsCellsParameterizedApps(t *testing.T) {
+	_, c := startServer(t, server.Config{})
+	spec := server.Spec{
+		Size:     "mini",
+		Apps:     []string{"kv:keys=1024;ops=16;shards=8", "pubsub:rounds=1;topics=16"},
+		Policies: []string{"SCOMA", "LANUMA"},
+		Metrics:  true,
+	}
+	local := spec
+	if err := local.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	opts, err := local.Options(harness.Options{MetricsDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := harness.Run(opts); err != nil {
+		t.Fatalf("local sweep: %v", err)
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "*.json"))
+	if err != nil || len(files) != len(spec.Apps)*len(spec.Policies) {
+		t.Fatalf("local sweep wrote %d metrics files (%v), want %d", len(files), err, len(spec.Apps)*len(spec.Policies))
+	}
+
+	st, err := c.Submit(&spec)
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	if st, err = c.Wait(context.Background(), st.ID, nil); err != nil || st.State != server.StateDone {
+		t.Fatalf("job: state %s, err %v", st.State, err)
+	}
+	raw, err := c.MetricsBundle(st.ID)
+	if err != nil {
+		t.Fatalf("MetricsBundle: %v", err)
+	}
+	var bundle struct {
+		Cells []struct{ Cell string } `json:"cells"`
+	}
+	if err := json.Unmarshal(raw, &bundle); err != nil {
+		t.Fatalf("bundle: %v", err)
+	}
+	inBundle := map[string]bool{}
+	for _, bc := range bundle.Cells {
+		inBundle[bc.Cell] = true
+	}
+	if len(bundle.Cells) != len(files) || len(inBundle) != len(files) {
+		t.Fatalf("bundle has cells %+v, want one per local file %v", bundle.Cells, files)
+	}
+	for _, f := range files {
+		want, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cell := strings.TrimSuffix(filepath.Base(f), ".json")
+		got, err := c.MetricsCell(st.ID, cell)
+		if err != nil {
+			t.Errorf("MetricsCell %s: %v", cell, err)
+			continue
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("cell %s differs from the local -metrics file", cell)
+		}
+		if !inBundle[cell] {
+			t.Errorf("bundle lacks cell %s", cell)
+		}
+	}
+}
+
+// A resubmission sent the moment a job finishes is a cache hit:
+// runJob leaves the single-flight table before publishing, so nothing
+// can be deduplicated onto a finished job.
+func TestResubmitAfterDoneIsCached(t *testing.T) {
+	s := server.New(server.Config{})
+	s.Start()
+	t.Cleanup(s.Abort)
+	for i := 0; i < 50; i++ {
+		spec := server.Spec{Size: "mini", Apps: []string{fmt.Sprintf("kv:keys=256;ops=%d;shards=4", i+1)}, Policies: []string{"SCOMA"}}
+		first := spec
+		job, err := s.Submit(&first)
+		if err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+		for n := 0; ; {
+			evs, more, terminal := job.EventsFrom(n)
+			n += len(evs)
+			if terminal {
+				break
+			}
+			select {
+			case <-more:
+			case <-time.After(30 * time.Second):
+				t.Fatalf("job %s never finished", job.ID)
+			}
+		}
+		if st := job.Status(false); st.State != server.StateDone || st.Cached {
+			t.Fatalf("submit %d: first run ended %+v", i, st)
+		}
+		again := spec
+		hit, err := s.Submit(&again)
+		if err != nil {
+			t.Fatalf("resubmit %d: %v", i, err)
+		}
+		if st := hit.Status(false); !st.Cached || hit == job {
+			t.Fatalf("resubmit %d: got job %s %+v, want a cache hit (first run %s)", i, hit.ID, st, job.ID)
+		}
 	}
 }
