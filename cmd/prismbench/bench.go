@@ -13,7 +13,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -69,19 +68,9 @@ var benchSuite = map[string]func(b *testing.B){
 	"PITReverseHash":   benchPITReverseHash,
 	"DirectoryAccess":  benchDirectoryAccess,
 	"KernelPTEHit":     benchKernelPTEHit,
-	"MachineFFT":       func(b *testing.B) { benchMachine(b, "fft", "SCOMA", 1) },
-	"MachineRadix":     func(b *testing.B) { benchMachine(b, "radix", "Dyn-LRU", 1) },
-	"MachineOcean":     func(b *testing.B) { benchMachine(b, "ocean", "SCOMA", 1) },
-	"MachineFFTPar4":   func(b *testing.B) { benchMachine(b, "fft", "SCOMA", 4) },
-	"MachineOceanPar4": func(b *testing.B) { benchMachine(b, "ocean", "SCOMA", 4) },
-}
-
-// speedupPairs maps each parallel-engine benchmark to its sequential
-// twin. checkBenchBaseline gates the seq/par wall-time ratio of every
-// pair on hosts with enough cores for the ratio to mean anything.
-var speedupPairs = map[string]string{
-	"MachineFFTPar4":   "MachineFFT",
-	"MachineOceanPar4": "MachineOcean",
+	"MachineFFT":       func(b *testing.B) { benchMachine(b, "fft", "SCOMA") },
+	"MachineRadix":     func(b *testing.B) { benchMachine(b, "radix", "Dyn-LRU") },
+	"MachineOcean":     func(b *testing.B) { benchMachine(b, "ocean", "SCOMA") },
 }
 
 // benchEventQueue mirrors internal/sim's BenchmarkEventQueue: raw
@@ -201,12 +190,10 @@ func benchKernelPTEHit(b *testing.B) {
 	}
 }
 
-// benchMachine runs one full mini-size simulation per iteration,
-// sequential (par <= 1) or on the conservative parallel engine.
-func benchMachine(b *testing.B, app, pol string, par int) {
+// benchMachine runs one full mini-size simulation per iteration.
+func benchMachine(b *testing.B, app, pol string) {
 	cfg := workloads.ConfigForSize(workloads.MiniSize)
 	cfg.Policy = prism.MustPolicy(pol)
-	cfg.Parallelism = par
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		m, err := prism.New(cfg)
@@ -321,54 +308,9 @@ func checkBenchBaseline(path string, measured []BenchResult) error {
 				fmt.Sprintf("%s: %d B/op, baseline %d (limit %d)", m.Name, m.BytesPerOp, b.BytesPerOp, byteLimit))
 		}
 	}
-	regressions = append(regressions, checkSpeedups(baseline, measured)...)
 	if len(regressions) > 0 {
 		return fmt.Errorf("allocation regressions vs %s:\n  %s", path, strings.Join(regressions, "\n  "))
 	}
 	fmt.Fprintf(os.Stderr, "benchcheck: allocs/op and bytes/op within baseline %s\n", path)
 	return nil
-}
-
-// checkSpeedups gates the parallel engine's scaling: for every
-// measured seq/par pair also present in the baseline, the speedup
-// ratio must stay within 20% of the baseline's. The gate only arms on
-// hosts with at least 4 CPUs — below that the shards time-slice one
-// core and the ratio measures scheduler overhead, not scaling (the
-// committed BENCH_10.json baseline itself comes from a single-core
-// container, so its ratios are ~1.0 and the gate tightens naturally
-// the first time a multi-core host refreshes the baseline).
-func checkSpeedups(baseline map[string]BenchResult, measured []BenchResult) []string {
-	meas := map[string]BenchResult{}
-	for _, m := range measured {
-		meas[m.Name] = m
-	}
-	if runtime.NumCPU() < 4 {
-		for par := range speedupPairs {
-			if _, ok := meas[par]; ok {
-				fmt.Fprintf(os.Stderr,
-					"benchcheck: host has %d CPUs; parallel-engine speedup gate skipped (needs >= 4)\n",
-					runtime.NumCPU())
-				break
-			}
-		}
-		return nil
-	}
-	var regressions []string
-	for par, seq := range speedupPairs {
-		mp, ok1 := meas[par]
-		ms, ok2 := meas[seq]
-		bp, ok3 := baseline[par]
-		bs, ok4 := baseline[seq]
-		if !ok1 || !ok2 || !ok3 || !ok4 || mp.NsPerOp == 0 || bp.NsPerOp == 0 {
-			continue
-		}
-		got := ms.NsPerOp / mp.NsPerOp
-		floor := (bs.NsPerOp / bp.NsPerOp) * 0.8
-		if got < floor {
-			regressions = append(regressions,
-				fmt.Sprintf("%s: speedup %.2fx vs %s, baseline %.2fx (floor %.2fx)",
-					par, got, seq, bs.NsPerOp/bp.NsPerOp, floor))
-		}
-	}
-	return regressions
 }

@@ -100,7 +100,6 @@ func main() {
 	opts := harness.Options{
 		Size:        size,
 		Workers:     cli.Workers(),
-		Parallelism: cli.Parallelism(),
 		MetricsDir:  cli.MetricsDir,
 		SampleEvery: cli.SampleEvery(),
 		Faults:      faults,

@@ -72,7 +72,7 @@ func main() {
 	var caps []int
 	if needsCap(policy.Name()) {
 		fmt.Fprintf(os.Stderr, "sizing pass (SCOMA)...\n")
-		res, err := runOnce(*app, "SCOMA", size, nil, *pit, faults, "", 0, cli.Parallelism())
+		res, err := runOnce(*app, "SCOMA", size, nil, *pit, faults, "", 0)
 		if err != nil {
 			fatal(err)
 		}
@@ -86,7 +86,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "page-cache caps per node: %v\n", caps)
 	}
 
-	res, err := runOnce(*app, policy.Name(), size, caps, *pit, faults, cli.MetricsDir, cli.SampleEvery(), cli.Parallelism())
+	res, err := runOnce(*app, policy.Name(), size, caps, *pit, faults, cli.MetricsDir, cli.SampleEvery())
 	if err != nil {
 		fatal(err)
 	}
@@ -110,7 +110,6 @@ func runSweep(apps, pols []string, size workloads.Size, capFrac float64, pit uin
 		PITAccess:   sim.Time(pit),
 		Log:         os.Stderr,
 		Workers:     cli.Workers(),
-		Parallelism: cli.Parallelism(),
 		MetricsDir:  cli.MetricsDir,
 		SampleEvery: cli.SampleEvery(),
 		Faults:      faults,
@@ -130,7 +129,7 @@ func runSweep(apps, pols []string, size workloads.Size, capFrac float64, pit uin
 	}
 }
 
-func runOnce(app, polName string, size workloads.Size, caps []int, pit uint64, faults *fault.Plan, metricsDir string, sample sim.Time, par int) (prism.Results, error) {
+func runOnce(app, polName string, size workloads.Size, caps []int, pit uint64, faults *fault.Plan, metricsDir string, sample sim.Time) (prism.Results, error) {
 	cfg := workloads.ConfigForSize(size)
 	p, err := prism.PolicyByName(polName)
 	if err != nil {
@@ -142,15 +141,6 @@ func runOnce(app, polName string, size workloads.Size, caps []int, pit uint64, f
 		cfg.Node.PITConfig.AccessTime = sim.Time(pit)
 	}
 	cfg.Faults = faults
-	if par > 1 {
-		// Same fallbacks as the harness: software-lock apps, interval
-		// sampling and fault injection are sequential-only.
-		if harness.AppLockFree(app) && !faults.Active() && !(metricsDir != "" && sample != 0) {
-			cfg.Parallelism = par
-		} else {
-			fmt.Fprintf(os.Stderr, "%s/%s: sequential engine (-par %d unsupported for this cell)\n", app, polName, par)
-		}
-	}
 	m, err := prism.New(cfg)
 	if err != nil {
 		return prism.Results{}, err

@@ -210,14 +210,6 @@ func (r *recorder) BarrierFill(p *node.Proc, id int) {
 // found the machine quiescent.
 var ErrNoQuiescentFill = errors.New("no quiescent barrier fill at or after target time")
 
-// ErrParallelCheckpoint is returned by RecordCheckpoint and
-// RestoreSnapshot on machines built with Parallelism > 1. Checkpoint
-// capture needs the recorder's gate hook (a machine-global ordering
-// observer) and a single-engine quiescence predicate, neither of which
-// exists under the sharded engine; build the machine sequentially to
-// record or restore.
-var ErrParallelCheckpoint = errors.New("core: checkpoint capture/restore requires the sequential engine (machine built with Parallelism > 1)")
-
 // RecordCheckpoint runs the workload to completion with checkpoint
 // recording armed: at the first barrier fill at or after simulated time
 // `at` where the machine is quiescent, the complete machine state is
@@ -228,9 +220,6 @@ var ErrParallelCheckpoint = errors.New("core: checkpoint capture/restore require
 // Results are still valid; callers that merely prefer a checkpoint may
 // errors.Is-check and carry on.
 func (m *Machine) RecordCheckpoint(w Workload, at sim.Time) (*MachineSnapshot, Results, error) {
-	if m.group != nil {
-		return nil, Results{}, ErrParallelCheckpoint
-	}
 	rec := &recorder{m: m, target: at, idx: make(map[*node.Proc]int, len(m.Procs))}
 	for i, p := range m.Procs {
 		rec.idx[p] = i
@@ -471,9 +460,6 @@ func (h *replayHook) BarrierFill(p *node.Proc, id int) {
 // snapshot state is imported wholesale. Follow with Resume to continue
 // the run.
 func (m *Machine) RestoreSnapshot(w Workload, snap *MachineSnapshot) error {
-	if m.group != nil {
-		return ErrParallelCheckpoint
-	}
 	if len(m.Nodes) != snap.NumNodes || len(m.Procs) != snap.NumProcs {
 		return fmt.Errorf("core: snapshot is for %d nodes / %d procs, machine has %d / %d",
 			snap.NumNodes, snap.NumProcs, len(m.Nodes), len(m.Procs))

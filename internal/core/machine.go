@@ -46,15 +46,6 @@ type Config struct {
 	// rates zero and nothing scripted — leaves the fabric perfect and
 	// the results byte-identical to builds without fault injection.
 	Faults *fault.Plan
-	// Parallelism > 1 runs one machine across that many engine shards
-	// (conservative parallel DES over contiguous node blocks, capped at
-	// the node count). Results are byte-identical to a sequential run;
-	// only host wall-clock changes. 0 or 1 selects the sequential
-	// engine. Parallel machines reject armed fault plans, interval
-	// sampling, checkpoint capture/restore, and page-migration drivers
-	// — and workloads taking software test-and-set locks must enable
-	// HardwareSync.
-	Parallelism int
 }
 
 // DefaultConfig is the paper's 32-processor machine: 8 nodes × 4 CPUs,
@@ -119,12 +110,6 @@ func (c *Config) Validate() error {
 	if err := c.Faults.Validate(); err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
-	if c.Parallelism < 0 {
-		return fmt.Errorf("core: Parallelism %d is negative", c.Parallelism)
-	}
-	if c.Parallelism > 1 && c.Faults.Active() {
-		return fmt.Errorf("core: fault injection requires the sequential engine (Parallelism=%d with an armed fault plan)", c.Parallelism)
-	}
 	return nil
 }
 
@@ -164,11 +149,7 @@ const (
 
 // Machine is a fully wired PRISM system.
 type Machine struct {
-	Cfg Config
-	// E is the engine node 0 runs on. Sequential machines have exactly
-	// one engine and this is it; parallel machines shard nodes across
-	// engines (shard = contiguous node block) and drive them through
-	// group.
+	Cfg   Config
 	E     *sim.Engine
 	Net   *network.Network
 	Reg   *ipc.Registry
@@ -184,11 +165,6 @@ type Machine struct {
 	nextGlobal mem.VSID
 	hwVSID     mem.VSID
 	tm         timing.T
-
-	// group is the parallel engine group (nil on sequential machines);
-	// engines[i] is node i's engine.
-	group   *sim.Group
-	engines []*sim.Engine
 
 	sampler      *metrics.Sampler
 	samplerEvery sim.Time
@@ -211,68 +187,26 @@ func NewMachine(cfg Config) (*Machine, error) {
 	}
 	hwVSID, globalBase := vsidLayout(cfg.Nodes * cfg.Node.Procs)
 	m := &Machine{Cfg: cfg, tm: cfg.Timing, nextGlobal: globalBase, hwVSID: hwVSID}
-
-	// Shard layout: contiguous node blocks over min(Parallelism, Nodes)
-	// engines, synchronized by a conservative group whose lookahead is
-	// the network latency (creeping at SyncOp while processors sit in
-	// direct-wake sync operations). One shard means the plain
-	// sequential engine — no group, no rank stamping, the historical
-	// byte-exact behavior.
-	shards := 1
-	if cfg.Parallelism > 1 {
-		shards = cfg.Parallelism
-		if shards > cfg.Nodes {
-			shards = cfg.Nodes
-		}
-	}
-	m.engines = make([]*sim.Engine, cfg.Nodes)
-	if shards > 1 {
-		se := make([]*sim.Engine, shards)
-		for i := range se {
-			se[i] = sim.NewEngine()
-		}
-		m.group = sim.NewGroup(se, cfg.Net.Latency, cfg.Timing.SyncOp)
-		for i := 0; i < cfg.Nodes; i++ {
-			m.engines[i] = se[i*shards/cfg.Nodes]
-		}
-	} else {
-		e := sim.NewEngine()
-		for i := range m.engines {
-			m.engines[i] = e
-		}
-	}
-	m.E = m.engines[0]
+	m.E = sim.NewEngine()
 	m.Metrics = metrics.NewRegistry()
 	m.Net = network.New(m.E, cfg.Nodes, cfg.Net)
-	if shards > 1 {
-		m.Net.ShardEngines(m.engines)
-	}
 	m.Net.EnableFaults(cfg.Faults)
 	m.Reg = ipc.NewRegistry(cfg.Geometry, cfg.Nodes)
 
-	// One sequential machine = one engine = one goroutine, so every
-	// controller can share a single set of message pools. Sharing
-	// matters: protocol flows are directional (clients send Gets, homes
-	// retire them), so per-controller pools would fill on one side and
-	// stay empty on the other. A parallel machine cannot share across
-	// shards — each controller keeps its private pools (allocations and
-	// releases both happen at the owning shard), trading some pool
-	// imbalance for race freedom.
-	var pools *coherence.MsgPools
-	if shards == 1 {
-		pools = coherence.NewMsgPools()
-	}
+	// One machine = one engine = one goroutine, so every controller can
+	// share a single set of message pools. Sharing matters: protocol
+	// flows are directional (clients send Gets, homes retire them), so
+	// per-controller pools would fill on one side and stay empty on the
+	// other.
+	pools := coherence.NewMsgPools()
 	for i := 0; i < cfg.Nodes; i++ {
 		kc := cfg.Kernel
 		if cfg.PageCacheCaps != nil {
 			kc.PageCacheCap = cfg.PageCacheCaps[i]
 		}
-		e := m.engines[i]
-		k := kernel.New(e, mem.NodeID(i), cfg.Geometry, &m.tm, kc, m.Reg, m.Net, cfg.Policy)
-		n := node.New(e, mem.NodeID(i), cfg.Geometry, &m.tm, cfg.Node, m.Net, m.Reg, k)
-		if pools != nil {
-			n.Ctrl.UsePools(pools)
-		}
+		k := kernel.New(m.E, mem.NodeID(i), cfg.Geometry, &m.tm, kc, m.Reg, m.Net, cfg.Policy)
+		n := node.New(m.E, mem.NodeID(i), cfg.Geometry, &m.tm, cfg.Node, m.Net, m.Reg, k)
+		n.Ctrl.UsePools(pools)
 		m.Net.Attach(mem.NodeID(i), n)
 		n.RegisterMetrics(m.Metrics)
 		m.Nodes = append(m.Nodes, n)
@@ -296,9 +230,6 @@ func NewMachine(cfg Config) (*Machine, error) {
 		}
 	}
 	m.Sync = node.NewSyncDomain(m.E, &m.tm, cfg.Geometry, len(m.Procs), mem.NewVAddr(syncVSID, 0))
-	if m.group != nil {
-		m.Sync.EnableParallel(m.group, cfg.Nodes, barrierBeginA, barrierBeginB)
-	}
 	m.Sync.RegisterMetrics(m.Metrics)
 	for _, p := range m.Procs {
 		p.Sync = m.Sync
@@ -328,9 +259,6 @@ func NewMachine(cfg Config) (*Machine, error) {
 
 // NumProcs returns the total processor count.
 func (m *Machine) NumProcs() int { return len(m.Procs) }
-
-// Parallel reports whether the machine runs on the parallel engine.
-func (m *Machine) Parallel() bool { return m.group != nil }
 
 // SetTracer installs a reference tracer on every processor (nil
 // clears). Tracing is pure observation: it does not perturb timing.
@@ -429,9 +357,6 @@ func (m *Machine) resetStats() {
 // processor is still running. Call before Run; the samples appear in
 // ExportMetrics output.
 func (m *Machine) SampleMetrics(every sim.Time) {
-	if m.group != nil {
-		panic("core: SampleMetrics requires the sequential engine (interval sampling reads machine-wide counters mid-run); rebuild without WithParallelism")
-	}
 	m.samplerEvery = every
 	m.sampler = metrics.AttachSampler(m.E, m.Metrics, every, func() bool {
 		for _, p := range m.Procs {
@@ -469,17 +394,9 @@ func (m *Machine) Run(w Workload) (Results, error) {
 	for i, p := range m.Procs {
 		ctx := &Ctx{P: p, ID: i, N: len(m.Procs), m: m}
 		p.Coro().Start(func() { w.Run(ctx) })
-		// Each start step lands on the processor's own shard engine; on
-		// a sequential machine they are all m.E. Setup pushes carry
-		// group-global root ranks, so the parallel dispatch order of
-		// these time-0 events matches the sequential scheduling order.
-		m.engines[p.Node().ID].ScheduleStep(0, p.Coro())
+		m.E.ScheduleStep(0, p.Coro())
 	}
-	if m.group != nil {
-		m.group.RunUntilIdle()
-	} else {
-		m.E.RunUntilIdle()
-	}
+	m.E.RunUntilIdle()
 
 	var blocked []string
 	for _, p := range m.Procs {

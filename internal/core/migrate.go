@@ -35,13 +35,6 @@ func (m *Machine) DynamicHomeOf(va mem.VAddr) (mem.NodeID, bool) {
 // the calling processor until the static home commits. Workload
 // (processor-coroutine) context only.
 func (c *Ctx) MigratePage(va mem.VAddr, to mem.NodeID) error {
-	if c.m.group != nil {
-		// The migration flow schedules on the static home's engine from
-		// an arbitrary processor and rewrites the machine-global dynamic
-		// home table — both cross-shard mutations outside the lookahead
-		// contract.
-		return fmt.Errorf("core: page migration requires the sequential engine (machine built with Parallelism=%d)", c.m.Cfg.Parallelism)
-	}
 	g, ok := c.m.GlobalPageOf(va)
 	if !ok {
 		return fmt.Errorf("core: %v is not in a global segment", va)

@@ -95,9 +95,8 @@ func (m *Machine) collect(w Workload) Results {
 	if utilN > 0 {
 		r.Utilization = utilSum / float64(utilN)
 	}
-	net := m.Net.Totals()
-	r.NetMessages = net.Messages
-	r.NetBytes = net.Bytes
+	r.NetMessages = m.Net.Stats.Messages
+	r.NetBytes = m.Net.Stats.Bytes
 	return r
 }
 

@@ -151,15 +151,3 @@ func SplitAppList(s string) []string {
 func SpecFileName(spec string) string {
 	return strings.NewReplacer(":", "-", "=", "-", ";", "+", ",", "+").Replace(spec)
 }
-
-// AppLockFree reports whether a spec's workload synchronizes only
-// through barriers (see workloads.LockFree); parameters cannot change
-// that, so only the name matters. Unparseable specs report false and
-// are rejected later, when the run builds the workload.
-func AppLockFree(spec string) bool {
-	name, _, err := SplitAppSpec(spec)
-	if err != nil {
-		return false
-	}
-	return workloads.LockFree(name)
-}

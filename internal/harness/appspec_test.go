@@ -78,25 +78,6 @@ func TestCanonicalAppSpec(t *testing.T) {
 	}
 }
 
-func TestAppLockFree(t *testing.T) {
-	cases := map[string]bool{
-		"kv":            true,
-		"kv:keys=100":   true,
-		"pubsub":        true,
-		"zipf:zipf=1.2": true,
-		"fft":           true,
-		"barnes":        false, // takes software locks
-		"barnes:fake=1": false,
-		"nosuch":        false,
-		"":              false,
-	}
-	for spec, want := range cases {
-		if got := AppLockFree(spec); got != want {
-			t.Errorf("AppLockFree(%q) = %v, want %v", spec, got, want)
-		}
-	}
-}
-
 func TestSpecFileName(t *testing.T) {
 	if got := SpecFileName("kv:keys=8192;ops=64"); got != "kv-keys-8192+ops-64" {
 		t.Errorf("SpecFileName = %q", got)
@@ -106,7 +87,7 @@ func TestSpecFileName(t *testing.T) {
 // trafficSweepCSV runs the three traffic workloads (with reduced
 // parameters, spelled non-canonically on purpose) through a full
 // sweep and returns the CSV.
-func trafficSweepCSV(t *testing.T, workers, par int) string {
+func trafficSweepCSV(t *testing.T, workers int) string {
 	t.Helper()
 	runs, err := Run(Options{
 		Size: workloads.MiniSize,
@@ -115,9 +96,8 @@ func trafficSweepCSV(t *testing.T, workers, par int) string {
 			"pubsub:rounds=2,topics=64",
 			"ZIPFFE:pages=512,ops=512",
 		},
-		Policies:    []string{"SCOMA", "Dyn-LRU"},
-		Workers:     workers,
-		Parallelism: par,
+		Policies: []string{"SCOMA", "Dyn-LRU"},
+		Workers:  workers,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -126,10 +106,10 @@ func trafficSweepCSV(t *testing.T, workers, par int) string {
 }
 
 // TestTrafficSweepWorkerRepeatability: sweeps over parameterized app
-// specs emit byte-identical CSV at any -j width, seq or -par, and the
-// rows carry the canonical spec labels.
+// specs emit byte-identical CSV at any -j width, and the rows carry
+// the canonical spec labels.
 func TestTrafficSweepWorkerRepeatability(t *testing.T) {
-	want := trafficSweepCSV(t, 1, 1)
+	want := trafficSweepCSV(t, 1)
 	for _, label := range []string{
 		"kv:keys=8192;ops=128;shards=32,SCOMA,",
 		"pubsub:rounds=2;topics=64,Dyn-LRU,",
@@ -139,11 +119,9 @@ func TestTrafficSweepWorkerRepeatability(t *testing.T) {
 			t.Fatalf("CSV missing canonical row %q:\n%s", label, want)
 		}
 	}
-	for _, tc := range []struct{ workers, par int }{{4, 1}, {2, 2}} {
-		got := trafficSweepCSV(t, tc.workers, tc.par)
-		if got != want {
-			t.Errorf("-j %d -par %d sweep CSV diverged:\nwant:\n%s\ngot:\n%s",
-				tc.workers, tc.par, want, got)
+	for _, workers := range []int{2, 4} {
+		if got := trafficSweepCSV(t, workers); got != want {
+			t.Errorf("-j %d sweep CSV diverged:\nwant:\n%s\ngot:\n%s", workers, want, got)
 		}
 	}
 }

@@ -25,7 +25,6 @@ type CLI struct {
 	SizeName   string
 	Jobs       int
 	Seq        bool
-	Par        int
 	MetricsDir string
 	Sample     uint64
 	FaultSpec  string
@@ -44,14 +43,10 @@ func (c *CLI) RegisterSize(fs *flag.FlagSet, def string) {
 	fs.StringVar(&c.SizeName, "size", def, "data-set size: "+strings.Join(SizeNames, "|"))
 }
 
-// RegisterParallel registers the worker-pool pair -j / -seq and the
-// engine-shard flag -par. -j widens the sweep pool (runs per host);
-// -par shards each run's machine on the conservative parallel engine;
-// the harness clamps their product to GOMAXPROCS.
+// RegisterParallel registers the worker-pool pair -j / -seq.
 func (c *CLI) RegisterParallel(fs *flag.FlagSet) {
 	fs.IntVar(&c.Jobs, "j", 0, "max concurrent runs (0 = all host cores)")
-	fs.BoolVar(&c.Seq, "seq", false, "force the sequential path (same as -j 1 -par 1)")
-	fs.IntVar(&c.Par, "par", 0, "engine shards per machine run, byte-identical results (0/1 = sequential engine)")
+	fs.BoolVar(&c.Seq, "seq", false, "force the sequential path (same as -j 1)")
 }
 
 // RegisterMetrics registers -metrics (telemetry export directory).
@@ -81,14 +76,6 @@ func (c *CLI) Workers() int {
 		return 1
 	}
 	return c.Jobs
-}
-
-// Parallelism resolves -par / -seq into engine shards per machine run.
-func (c *CLI) Parallelism() int {
-	if c.Seq {
-		return 1
-	}
-	return c.Par
 }
 
 // SampleEvery resolves -sample into a snapshot interval.

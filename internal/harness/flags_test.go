@@ -21,7 +21,7 @@ func TestCLIRegistrationAndAccessors(t *testing.T) {
 	cli.RegisterFaults(fs)
 
 	err := fs.Parse([]string{
-		"-size", "mini", "-j", "4", "-par", "2", "-metrics", "out",
+		"-size", "mini", "-j", "4", "-metrics", "out",
 		"-sample", "1000", "-faults", "seed=42,drop=0.02",
 	})
 	if err != nil {
@@ -32,9 +32,6 @@ func TestCLIRegistrationAndAccessors(t *testing.T) {
 	}
 	if cli.Workers() != 4 {
 		t.Fatalf("workers %d, want 4", cli.Workers())
-	}
-	if cli.Parallelism() != 2 {
-		t.Fatalf("parallelism %d, want 2", cli.Parallelism())
 	}
 	if cli.MetricsDir != "out" || cli.SampleEvery() != 1000 {
 		t.Fatalf("metrics %q sample %d", cli.MetricsDir, cli.SampleEvery())
@@ -52,14 +49,11 @@ func TestCLISeqOverridesJobs(t *testing.T) {
 	var cli CLI
 	fs := NewFlagSet("test", io.Discard)
 	cli.RegisterParallel(fs)
-	if err := fs.Parse([]string{"-j", "8", "-par", "4", "-seq"}); err != nil {
+	if err := fs.Parse([]string{"-j", "8", "-seq"}); err != nil {
 		t.Fatal(err)
 	}
 	if cli.Workers() != 1 {
 		t.Fatalf("workers %d, want 1 under -seq", cli.Workers())
-	}
-	if cli.Parallelism() != 1 {
-		t.Fatalf("parallelism %d, want 1 under -seq", cli.Parallelism())
 	}
 }
 

@@ -46,16 +46,6 @@ type Options struct {
 	// GOMAXPROCS, 1 forces the sequential path. Every run owns a
 	// private Machine, so results are bit-identical at any width.
 	Workers int
-	// Parallelism, when > 1, runs each cell's machine on the
-	// conservative parallel engine with that many shards (see
-	// prism.WithParallelism); results stay byte-identical to the
-	// sequential engine. Cells the parallel engine refuses fall back
-	// to sequential, logged once per sweep: apps that take software
-	// test-and-set locks (the harness never enables hardware sync),
-	// and every cell when interval sampling or an active fault plan
-	// is configured. Workers × Parallelism is clamped so the two
-	// pools together never oversubscribe GOMAXPROCS.
-	Parallelism int
 	// MetricsDir, when non-empty, makes every sweep cell write its
 	// full telemetry export to <MetricsDir>/<app>_<policy>.json
 	// (metrics.Export, analyzed with prismstat). Export is pure
@@ -82,11 +72,6 @@ type Options struct {
 	Context context.Context
 
 	logMu *sync.Mutex
-
-	// effPar and effWorkers are the engine-shard count and pool width
-	// after resolveParallel settles the Workers × Parallelism budget.
-	effPar     int
-	effWorkers int
 }
 
 // ctx resolves the sweep context.
@@ -120,77 +105,14 @@ func (o *Options) defaults() {
 	if o.logMu == nil {
 		o.logMu = &sync.Mutex{}
 	}
-	o.resolveParallel()
-}
-
-// resolveParallel settles how the sweep pool (Workers, -j) composes
-// with the per-machine engine shards (Parallelism, -par). Sequential-
-// only features drop the shards for the whole sweep, and the product
-// workers × shards is capped at GOMAXPROCS — each grouped machine
-// runs its shards on its own goroutines, so composing the two pools
-// naively would oversubscribe the host. Every decision is logged once
-// per sweep, here, not per cell.
-func (o *Options) resolveParallel() {
-	o.effPar = o.Parallelism
-	if o.effPar < 1 {
-		o.effPar = 1
-	}
-	if o.effPar > 1 {
-		switch {
-		case o.Faults.Active():
-			o.logf("harness: fault injection is sequential-only; ignoring Parallelism=%d", o.Parallelism)
-			o.effPar = 1
-		case o.MetricsDir != "" && o.SampleEvery != 0:
-			o.logf("harness: interval sampling is sequential-only; ignoring Parallelism=%d", o.Parallelism)
-			o.effPar = 1
-		}
-	}
-	gmp := runtime.GOMAXPROCS(0)
-	if o.effPar > gmp {
-		// More shards than cores still produce identical bytes (the
-		// group clamps its own workers), so keep them: the shard
-		// topology is part of the machine, not of the host budget.
-		o.logf("harness: Parallelism=%d exceeds GOMAXPROCS=%d; extra shards run time-sliced", o.effPar, gmp)
-	}
-	w := o.Workers
-	if w <= 0 {
-		w = gmp
-	}
-	if o.effPar > 1 && w*min(o.effPar, gmp) > gmp {
-		clamped := max(1, gmp/min(o.effPar, gmp))
-		o.logf("harness: capping sweep workers at %d (was %d): %d workers x %d engine shards would oversubscribe GOMAXPROCS=%d",
-			clamped, w, w, o.effPar, gmp)
-		w = clamped
-	}
-	o.effWorkers = w
-	if o.effPar > 1 {
-		for _, app := range o.Apps {
-			if !AppLockFree(app) {
-				o.logf("harness: %s takes software locks; its cells run on the sequential engine", app)
-			}
-		}
-	}
 }
 
 // workers resolves the effective worker count.
 func (o *Options) workers() int {
-	if o.effWorkers > 0 {
-		return o.effWorkers
-	}
 	if o.Workers > 0 {
 		return o.Workers
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// cellParallelism picks the engine for one app's cells: the resolved
-// shard count, or the sequential engine for workloads whose software
-// test-and-set locks the parallel engine refuses.
-func (o *Options) cellParallelism(app string) int {
-	if o.effPar > 1 && AppLockFree(app) {
-		return o.effPar
-	}
-	return 1
 }
 
 func (o *Options) logf(format string, args ...interface{}) {
@@ -235,7 +157,6 @@ func (o *Options) runOne(app, polName string, caps []int) (prism.Results, error)
 	if err != nil {
 		return prism.Results{}, err
 	}
-	cfg.Parallelism = o.cellParallelism(app)
 	m, err := prism.New(cfg)
 	if err != nil {
 		return prism.Results{}, err

@@ -55,11 +55,6 @@ type Daemon struct {
 // drains (its events reschedule only while work remains). The daemon
 // reports through the machine's telemetry registry.
 func Attach(m *core.Machine, interval sim.Time, pol Policy) *Daemon {
-	if m.Parallel() {
-		// The daemon's scan walks machine-global page stats and drives
-		// cross-node migrations from one engine — sequential-only.
-		panic("migrate: daemon requires the sequential engine; rebuild the machine without WithParallelism")
-	}
 	d := &Daemon{m: m, pol: pol, interval: interval}
 	d.scanIfActiveFn = d.scanIfActive
 	m.E.Schedule(interval, d.scan)

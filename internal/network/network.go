@@ -44,15 +44,6 @@ type Stats struct {
 }
 
 // Network connects n nodes.
-//
-// Sharding: on a sequential machine every node shares one engine. A
-// parallel machine calls ShardEngines to give each node its shard's
-// engine; from then on all mutable network state is partitioned by
-// shard — per-shard message stats and inflight pools, and per-node NI
-// resources touched only from their owning shard — with cross-shard
-// deliveries handed off through the engine group's mailboxes. The
-// network's fixed Latency is the lookahead bound that makes those
-// handoffs safe (see sim.Group).
 type Network struct {
 	e        *sim.Engine
 	cfg      Config
@@ -60,29 +51,20 @@ type Network struct {
 	sendNI   []sim.Resource
 	recvNI   []sim.Resource
 
-	// engs[i] is the engine node i's events run on; shardOf[i] its
-	// shard index. On a sequential machine every entry is e / shard 0.
-	engs    []*sim.Engine
-	shardOf []int
-
-	// free is a free list of inflight events, one list per shard.
-	// Message delivery is the hottest event shape after coroutine
-	// steps, so in-flight messages ride pooled two-stage event objects
-	// instead of allocating two closures each; the pool grows to the
-	// peak in-flight count and then the steady state allocates nothing.
-	// A send allocates from the sending shard's list and delivery frees
-	// into the receiving shard's list, so each list is touched only by
-	// its owning shard.
-	free [][]*inflight
+	// free is a free list of inflight events. Message delivery is the
+	// hottest event shape after coroutine steps, so in-flight messages
+	// ride pooled two-stage event objects instead of allocating two
+	// closures each; the pool grows to the peak in-flight count and
+	// then the steady state allocates nothing. Single-goroutine like
+	// everything else hanging off one engine.
+	free []*inflight
 
 	// tr is the fault-injection recovery transport (transport.go), nil
 	// unless a fault plan is active. The fault-free hot path pays one
-	// nil check in Send and one in delivery. Parallel machines reject
-	// armed fault plans (core.Config.Validate), so tr is sequential-only.
+	// nil check in Send and one in delivery.
 	tr *transport
 
-	// stats counts traffic per sending shard; Totals sums them.
-	stats []Stats
+	Stats Stats
 }
 
 // inflight is one in-flight message: an arrival event at the receive
@@ -102,13 +84,12 @@ func (d *inflight) OnEvent(now sim.Time) {
 	if !d.arrived {
 		d.arrived = true
 		ready := d.n.recvNI[d.dst].Acquire(now, d.occ) + d.occ
-		d.n.engs[d.dst].AtEvent(ready, d)
+		d.n.e.AtEvent(ready, d)
 		return
 	}
 	n, src, dst, msg := d.n, d.src, d.dst, d.msg
 	d.msg = nil // release the payload before pooling
-	sh := n.shardOf[dst]
-	n.free[sh] = append(n.free[sh], d)
+	n.free = append(n.free, d)
 	if n.tr != nil {
 		// With the recovery transport armed every wire message is an
 		// envelope or a transport ack; unwrap before the handler.
@@ -132,53 +113,12 @@ func New(e *sim.Engine, nodes int, cfg Config) *Network {
 		handlers: make([]Handler, nodes),
 		sendNI:   make([]sim.Resource, nodes),
 		recvNI:   make([]sim.Resource, nodes),
-		engs:     make([]*sim.Engine, nodes),
-		shardOf:  make([]int, nodes),
-		free:     make([][]*inflight, 1),
-		stats:    make([]Stats, 1),
 	}
 	for i := range n.sendNI {
 		n.sendNI[i].Name = fmt.Sprintf("ni%d.send", i)
 		n.recvNI[i].Name = fmt.Sprintf("ni%d.recv", i)
-		n.engs[i] = e
 	}
 	return n
-}
-
-// ShardEngines partitions the network across a parallel machine's
-// shard engines: perNode[i] is the engine node i runs on. Engines must
-// appear in contiguous runs (shard = contiguous node block). Must be
-// called before any traffic.
-func (n *Network) ShardEngines(perNode []*sim.Engine) {
-	if len(perNode) != len(n.handlers) {
-		panic("network: ShardEngines length mismatch")
-	}
-	shards := 0
-	var last *sim.Engine
-	for i, e := range perNode {
-		if e != last {
-			shards++
-			last = e
-		}
-		n.engs[i] = e
-		n.shardOf[i] = shards - 1
-	}
-	n.free = make([][]*inflight, shards)
-	n.stats = make([]Stats, shards)
-}
-
-// MinDelay returns the minimum cross-node interaction delay — the
-// lookahead bound a parallel engine group may use.
-func (n *Network) MinDelay() sim.Time { return n.cfg.Latency }
-
-// Totals returns the summed traffic counters.
-func (n *Network) Totals() Stats {
-	var t Stats
-	for i := range n.stats {
-		t.Messages += n.stats[i].Messages
-		t.Bytes += n.stats[i].Bytes
-	}
-	return t
 }
 
 // Attach registers the handler for node id's inbound messages.
@@ -210,13 +150,11 @@ func (n *Network) Send(at sim.Time, src, dst mem.NodeID, size int, msg Message) 
 	if n.handlers[dst] == nil {
 		panic(fmt.Sprintf("network: node %d has no handler attached", dst))
 	}
-	st := &n.stats[n.shardOf[src]]
-	st.Messages++
-	st.Bytes += uint64(size)
+	n.Stats.Messages++
+	n.Stats.Bytes += uint64(size)
 
-	srcE := n.engs[src]
-	if at < srcE.Now() {
-		at = srcE.Now()
+	if at < n.e.Now() {
+		at = n.e.Now()
 	}
 	if n.tr != nil {
 		// Lossy fabric: route through the recovery transport, which
@@ -231,30 +169,24 @@ func (n *Network) Send(at sim.Time, src, dst mem.NodeID, size int, msg Message) 
 }
 
 // scheduleInflight books a pooled two-stage delivery event: receive-NI
-// occupancy at arrive, then handler invocation. The event runs on the
-// destination node's engine; when that is a different shard the
-// handoff rides the group mailbox, which the network latency makes
-// safe (arrive is at least Latency past the sending shard's clock).
+// occupancy at arrive, then handler invocation.
 func (n *Network) scheduleInflight(src, dst mem.NodeID, msg Message, occ sim.Time, arrive sim.Time) {
 	var d *inflight
-	sh := n.shardOf[src]
-	if pool := n.free[sh]; len(pool) > 0 {
-		d = pool[len(pool)-1]
-		n.free[sh] = pool[:len(pool)-1]
+	if len(n.free) > 0 {
+		d = n.free[len(n.free)-1]
+		n.free = n.free[:len(n.free)-1]
 	} else {
 		d = &inflight{n: n}
 	}
 	d.src, d.dst, d.msg, d.occ, d.arrived = src, dst, msg, occ, false
-	n.engs[src].Handoff(n.engs[dst], arrive, d)
+	n.e.AtEvent(arrive, d)
 }
 
 // ResetStats clears counters (NI occupancy horizons are kept),
 // following the machine-wide reset contract: measurement counters
 // clear, structural state persists.
 func (n *Network) ResetStats() {
-	for i := range n.stats {
-		n.stats[i] = Stats{}
-	}
+	n.Stats = Stats{}
 	for i := range n.sendNI {
 		n.sendNI[i].Reset()
 		n.recvNI[i].Reset()
@@ -269,8 +201,8 @@ func (n *Network) ResetStats() {
 // occupancy (grants issued and busy/wait cycles on both the send and
 // receive interfaces — the wait totals are the NI-occupancy stalls).
 func (n *Network) RegisterMetrics(r *metrics.Registry) {
-	r.CounterFunc(metrics.MachineScope, "network", "messages", func() uint64 { return n.Totals().Messages })
-	r.CounterFunc(metrics.MachineScope, "network", "bytes", func() uint64 { return n.Totals().Bytes })
+	r.CounterFunc(metrics.MachineScope, "network", "messages", func() uint64 { return n.Stats.Messages })
+	r.CounterFunc(metrics.MachineScope, "network", "bytes", func() uint64 { return n.Stats.Bytes })
 	for i := range n.sendNI {
 		send, recv := &n.sendNI[i], &n.recvNI[i]
 		r.CounterFunc(i, "network", "ni_send_grants", func() uint64 { return send.Grants })

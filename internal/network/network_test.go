@@ -98,11 +98,11 @@ func TestStats(t *testing.T) {
 	n.Send(0, 0, 1, 100, "x")
 	n.Send(0, 1, 0, 50, "y")
 	e.RunUntilIdle()
-	if st := n.Totals(); st.Messages != 2 || st.Bytes != 150 {
-		t.Fatalf("stats %+v", st)
+	if n.Stats.Messages != 2 || n.Stats.Bytes != 150 {
+		t.Fatalf("stats %+v", n.Stats)
 	}
 	n.ResetStats()
-	if n.Totals().Messages != 0 {
+	if n.Stats.Messages != 0 {
 		t.Fatal("reset failed")
 	}
 }
@@ -227,8 +227,8 @@ func TestResetStatsKeepsNIHorizons(t *testing.T) {
 		t.Fatal("send left no NI horizon to preserve")
 	}
 	n.ResetStats()
-	if st := n.Totals(); st.Messages != 0 || st.Bytes != 0 {
-		t.Errorf("stats not cleared: %+v", st)
+	if n.Stats.Messages != 0 || n.Stats.Bytes != 0 {
+		t.Errorf("stats not cleared: %+v", n.Stats)
 	}
 	if g := n.sendNI[0].Grants; g != 0 {
 		t.Errorf("send NI grants %d after reset", g)

@@ -205,7 +205,7 @@ func (n *Network) CheckCapturable() error {
 // quiescence (CheckQuiesced plus the heap scan); held buffers are empty
 // by construction there, so only sequence numbers are captured.
 func (n *Network) ExportState() NetworkState {
-	s := NetworkState{Stats: n.Totals()}
+	s := NetworkState{Stats: n.Stats}
 	for i := range n.sendNI {
 		s.SendNI = append(s.SendNI, n.sendNI[i].ExportState())
 		s.RecvNI = append(s.RecvNI, n.recvNI[i].ExportState())
@@ -232,12 +232,7 @@ func (n *Network) ImportState(s NetworkState) {
 		n.sendNI[i].ImportState(s.SendNI[i])
 		n.recvNI[i].ImportState(s.RecvNI[i])
 	}
-	// Snapshots are sequential-only, so the single shard-0 entry holds
-	// the whole total.
-	for i := range n.stats {
-		n.stats[i] = Stats{}
-	}
-	n.stats[0] = s.Stats
+	n.Stats = s.Stats
 	if s.Transport != nil && n.tr != nil {
 		n.tr.stats = s.Transport.Stats
 		n.tr.inj.ImportState(s.Transport.Injector)
@@ -249,7 +244,5 @@ func (n *Network) ImportState(s NetworkState) {
 		}
 		n.tr.pending = make(map[pendKey]*pendingMsg)
 	}
-	for i := range n.free {
-		n.free[i] = nil
-	}
+	n.free = nil
 }

@@ -38,29 +38,9 @@ type SyncDomain struct {
 	// normal runs never test it beyond one nil check per sync op.
 	hook SyncHook
 
-	// par is the machine's engine group on parallel machines, nil
-	// otherwise. Barrier wake-ups step waiters directly at +SyncOp —
-	// under the network lookahead — so every processor inside a
-	// barrier holds the group in its small-window "creep" mode. Locks
-	// need no creep: the hardware queue-lock protocol is fully
-	// message-mediated, and software test-and-set locks (whose host
-	// interleaving is inherently order-dependent) are rejected under
-	// parallel execution.
-	par *sim.Group
-
-	// serialOn/serialOff are barrier ids whose fills bracket a
-	// machine-global mutation (the measurement-phase stats reset):
-	// filling serialOn requests a serial window from the group,
-	// filling serialOff releases it.
-	serialOn, serialOff int
-
-	// BarrierOps and LockOps count completed operations. On parallel
-	// machines the per-node slices are used instead — each slot is
-	// written only by its node's shard — and exports sum both.
-	BarrierOps  uint64
-	LockOps     uint64
-	barrierOpsN []uint64
-	lockOpsN    []uint64
+	// BarrierOps and LockOps count completed operations.
+	BarrierOps uint64
+	LockOps    uint64
 }
 
 // SyncHook observes the synchronization order of a run. Gate is called
@@ -82,54 +62,18 @@ func (s *SyncDomain) SetHook(h SyncHook) { s.hook = h }
 // protocol backed by the segment at base.
 func (s *SyncDomain) EnableHardwareLocks(base mem.VAddr) { s.hwBase = base }
 
-// EnableParallel attaches the machine's engine group. serialOn and
-// serialOff are the barrier ids bracketing the measurement-phase
-// stats reset (core's begin-parallel A/B barriers); their fills
-// request/release the group's serial window so the reset executes
-// with every shard quiesced.
-func (s *SyncDomain) EnableParallel(g *sim.Group, nodes, serialOn, serialOff int) {
-	s.par = g
-	s.serialOn, s.serialOff = serialOn, serialOff
-	s.barrierOpsN = make([]uint64, nodes)
-	s.lockOpsN = make([]uint64, nodes)
-}
-
 // ResetStats clears the operation counters, following the
 // machine-wide reset contract: measurement counters clear, structural
 // state (barrier epochs, lock hold state, wait queues) persists.
 func (s *SyncDomain) ResetStats() {
 	s.BarrierOps = 0
 	s.LockOps = 0
-	for i := range s.barrierOpsN {
-		s.barrierOpsN[i] = 0
-	}
-	for i := range s.lockOpsN {
-		s.lockOpsN[i] = 0
-	}
-}
-
-// TotalBarrierOps returns completed barrier operations across nodes.
-func (s *SyncDomain) TotalBarrierOps() uint64 {
-	t := s.BarrierOps
-	for _, v := range s.barrierOpsN {
-		t += v
-	}
-	return t
-}
-
-// TotalLockOps returns completed lock operations across nodes.
-func (s *SyncDomain) TotalLockOps() uint64 {
-	t := s.LockOps
-	for _, v := range s.lockOpsN {
-		t += v
-	}
-	return t
 }
 
 // RegisterMetrics registers the machine-scope sync operation counts.
 func (s *SyncDomain) RegisterMetrics(r *metrics.Registry) {
-	r.CounterFunc(metrics.MachineScope, "sync", "barrier_ops", s.TotalBarrierOps)
-	r.CounterFunc(metrics.MachineScope, "sync", "lock_ops", s.TotalLockOps)
+	r.CounterFunc(metrics.MachineScope, "sync", "barrier_ops", func() uint64 { return s.BarrierOps })
+	r.CounterFunc(metrics.MachineScope, "sync", "lock_ops", func() uint64 { return s.LockOps })
 }
 
 const (
@@ -188,13 +132,6 @@ func (s *SyncDomain) barrierAddr(id int) mem.VAddr {
 // Barrier joins barrier id; returns when all processors have arrived.
 // Called from workload (processor-coroutine) context.
 func (s *SyncDomain) Barrier(p *Proc, id int) {
-	if s.par != nil {
-		// Barrier wake-ups step waiters at +SyncOp, under the network
-		// lookahead, so the group must creep with the small window for
-		// as long as any processor is inside the operation.
-		s.par.EnterSync()
-		defer s.par.ExitSync()
-	}
 	addr := s.barrierAddr(id)
 	// Arrival: fetch the barrier line exclusively and bump the count.
 	p.Write(addr)
@@ -212,36 +149,22 @@ func (s *SyncDomain) Barrier(p *Proc, id int) {
 	if b.count == s.total {
 		b.count = 0
 		b.epoch++
-		if s.par != nil {
-			s.barrierOpsN[p.n.ID]++
-		} else {
-			s.BarrierOps++
-		}
+		s.BarrierOps++
 		// Release: wake everyone; each reloads the (invalidated)
 		// barrier line on the way out. Waiter i steps at +SyncOp+2i,
-		// exactly the sequential stagger; wakes bound for other shards
-		// ride the group mailbox (safe under the creep window held by
-		// every waiter still inside this Barrier call).
-		src := p.n.e
+		// in arrival order.
+		now := s.e.Now()
 		for i, w := range b.waiters {
-			src.HandoffStep(w.n.e, src.Now()+s.tm.SyncOp+sim.Time(2*i), w.coro)
+			s.e.StepAt(now+s.tm.SyncOp+sim.Time(2*i), w.coro)
 		}
 		b.waiters = b.waiters[:0]
-		if s.par != nil {
-			switch id {
-			case s.serialOn:
-				s.par.RequestSerial()
-			case s.serialOff:
-				s.par.ReleaseSerial()
-			}
-		}
 		if s.hook != nil {
 			s.hook.BarrierFill(p, id)
 		}
 	} else {
 		b.waiters = append(b.waiters, p)
 		p.coro.Block()
-		if t := p.n.e.Now(); t > p.now {
+		if t := s.e.Now(); t > p.now {
 			p.now = t
 		}
 	}
@@ -254,22 +177,9 @@ func (s *SyncDomain) Lock(p *Proc, id int) {
 		if id < 0 || id >= maxLocks {
 			panic(fmt.Sprintf("sync: lock id %d out of range", id))
 		}
-		if s.par != nil {
-			s.lockOpsN[p.n.ID]++
-		} else {
-			s.LockOps++
-		}
+		s.LockOps++
 		p.HWLock(s.hwBase + mem.VAddr(id*s.geom.LineSize))
 		return
-	}
-	if s.par != nil {
-		// A software test-and-set lock decides its winner by the host
-		// order in which spinners observe held==false — zero-lookahead
-		// state no conservative window can protect. Lock-using
-		// workloads must enable hardware sync (queue locks are fully
-		// message-mediated) or run sequentially; the harness falls
-		// back automatically.
-		panic(ErrSoftwareLockParallel)
 	}
 	l := s.locks[id]
 	if l == nil {
@@ -304,19 +214,11 @@ func (s *SyncDomain) Lock(p *Proc, id int) {
 	p.Compute(s.tm.SyncOp)
 }
 
-// ErrSoftwareLockParallel is the panic value raised when a workload
-// takes a software test-and-set lock on a machine running the parallel
-// engine (see Lock).
-const ErrSoftwareLockParallel = "sync: software test-and-set locks are unsupported under the parallel engine; enable hardware sync or run sequentially"
-
 // Unlock releases lock id, waking the next waiter.
 func (s *SyncDomain) Unlock(p *Proc, id int) {
 	if s.hwBase != 0 {
 		p.HWUnlock(s.hwBase + mem.VAddr(id*s.geom.LineSize))
 		return
-	}
-	if s.par != nil {
-		panic(ErrSoftwareLockParallel)
 	}
 	l := s.locks[id]
 	if l == nil || !l.held {

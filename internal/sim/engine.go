@@ -28,19 +28,10 @@
 // (StepAt/ScheduleStep), a pre-existing EventHandler object (AtEvent/
 // ScheduleEvent) and a timed callback func(Time) (CallAt/ScheduleCall).
 // See DESIGN.md "Engine internals".
-//
-// Parallel groups: a Group (group.go) shards one machine's events
-// across several engines driven by a conservative parallel round
-// protocol. Grouped engines reject Run — their events are processed by
-// the group's shard workers through runWindow — and stamp every pushed
-// event with a genealogy rank so that cross-shard merge points
-// reproduce the sequential (time, seq) order exactly. See DESIGN.md
-// "Parallel engine".
 package sim
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 )
 
@@ -66,61 +57,16 @@ type EventHandler interface {
 type event struct {
 	at      Time
 	seq     uint64
-	rank    *rank        // genealogy rank; non-nil only under a Group
 	coro    *Coro        // step this coroutine
 	handler EventHandler // invoke OnEvent(at)
 	call    func(Time)   // invoke call(at)
 	fn      func()       // invoke fn()
 }
 
-// rank is an event's genealogy under a parallel Group: born is the
-// simulated time it was pushed, parent is the rank of the event whose
-// dispatch pushed it (nil for setup-time pushes), and idx is its index
-// among the pushes of that dispatch (or the global root counter for
-// setup pushes). rankBefore over these tuples reproduces, provably and
-// independently of shard count, the exact total order the sequential
-// engine's (time, seq) comparison yields — which is what makes
-// parallel runs byte-identical to sequential ones. Sequential engines
-// never allocate ranks; their events compare by seq alone.
-type rank struct {
-	parent *rank
-	born   Time
-	idx    uint64
-}
-
-// rankBefore reports whether an event ranked a precedes one ranked b
-// in the sequential dispatch order, among events at the same time.
-// Sequential seq order among same-time events is: later push instants
-// come later; among pushes at the same instant, pusher dispatch order
-// decides (recursively), and setup pushes precede all execution-time
-// pushes; pushes by the same dispatch order by push index.
-func rankBefore(a, b *rank) bool {
-	for {
-		if a.born != b.born {
-			return a.born < b.born
-		}
-		if a.parent == b.parent {
-			return a.idx < b.idx
-		}
-		if a.parent == nil {
-			return true
-		}
-		if b.parent == nil {
-			return false
-		}
-		a, b = a.parent, b.parent
-	}
-}
-
-// before is the queue's total order: time, then genealogy rank under a
-// Group, then sequence number. In sequential mode ranks are nil and
-// the order is exactly the historical (time, seq).
+// before is the queue's total order: (time, sequence number).
 func (e *event) before(o *event) bool {
 	if e.at != o.at {
 		return e.at < o.at
-	}
-	if e.rank != nil && o.rank != nil {
-		return rankBefore(e.rank, o.rank)
 	}
 	return e.seq < o.seq
 }
@@ -136,21 +82,6 @@ type Engine struct {
 	// atomically so that reentrant *and* cross-goroutine misuse
 	// fails deterministically instead of racing on the heap.
 	running atomic.Bool
-
-	// Parallel-group state. group is non-nil while this engine is one
-	// shard of a Group; such engines stamp every push with a genealogy
-	// rank and reject direct Run. curRank/curIdx identify the event
-	// currently dispatching so its pushes can record their parentage.
-	group   *Group
-	curRank *rank
-	curIdx  uint64
-
-	// inbox is the cross-shard mailbox: events handed off by other
-	// shards, drained into the heap at round boundaries once this
-	// shard's clock has safely passed the senders' horizon. It is the
-	// only engine field touched by foreign goroutines.
-	inboxMu sync.Mutex
-	inbox   []event
 }
 
 // NewEngine returns an engine at time zero with an empty event queue.
@@ -219,8 +150,7 @@ func (e *Engine) Pending() int { return len(e.events) }
 // pop — and keeps the four children of a node in two cache lines.
 const arity = 4
 
-// push inserts ev at time t, assigning the next sequence number (and,
-// under a Group, a genealogy rank).
+// push inserts ev at time t, assigning the next sequence number.
 func (e *Engine) push(t Time, ev event) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: event scheduled at %d, before now=%d", t, e.now))
@@ -228,23 +158,7 @@ func (e *Engine) push(t Time, ev event) {
 	e.seq++
 	ev.at = t
 	ev.seq = e.seq
-	if e.group != nil {
-		ev.rank = e.newRank()
-	}
 	e.insert(ev)
-}
-
-// newRank builds the genealogy rank for a push happening now: a child
-// of the dispatching event, or a root (setup-time) rank numbered by
-// the group-wide root counter so roots from different shards stay
-// totally ordered.
-func (e *Engine) newRank() *rank {
-	if e.curRank != nil {
-		r := &rank{parent: e.curRank, born: e.now, idx: e.curIdx}
-		e.curIdx++
-		return r
-	}
-	return &rank{born: e.now, idx: e.group.nextRoot()}
 }
 
 // insert adds a fully stamped event to the heap.
@@ -306,19 +220,11 @@ func (e *Engine) pop() event {
 }
 
 // engineMisuseMsg is the documented panic for driving one engine from
-// two places at once — reentrant Run, Run from a second goroutine, or
-// direct Run on an engine owned by a parallel Group (whose shard
-// workers are the only exempt callers, via runWindow).
+// two places at once: reentrant Run, or Run from a second goroutine.
 const engineMisuseMsg = "sim: Engine.Run entered twice (reentrant or concurrent use; one engine per goroutine)"
 
 // dispatch executes one popped event with the clock already advanced.
-// Under a Group it also establishes the rank context its pushes will
-// be parented to.
 func (e *Engine) dispatch(ev *event) {
-	if e.group != nil {
-		e.curRank = ev.rank
-		e.curIdx = 0
-	}
 	switch {
 	case ev.coro != nil:
 		ev.coro.Step()
@@ -335,13 +241,8 @@ func (e *Engine) dispatch(ev *event) {
 // clock would pass limit. It returns the number of events processed.
 // Run is not reentrant and must not be invoked on the same engine from
 // two goroutines: each goroutine needs its own Engine (see the package
-// comment's one-engine-per-goroutine invariant). Engines owned by a
-// parallel Group refuse Run outright — the group's shard workers drive
-// them through runWindow.
+// comment's one-engine-per-goroutine invariant).
 func (e *Engine) Run(limit Time) int {
-	if e.group != nil {
-		panic(engineMisuseMsg)
-	}
 	if !e.running.CompareAndSwap(false, true) {
 		panic(engineMisuseMsg)
 	}
@@ -358,102 +259,6 @@ func (e *Engine) Run(limit Time) int {
 		n++
 	}
 	return n
-}
-
-// runWindow processes local events with at < end. It is the parallel
-// counterpart of Run, invoked only by the owning Group inside a
-// synchronized round; the CAS still catches model code that re-enters
-// the engine.
-func (e *Engine) runWindow(end Time) int {
-	if !e.running.CompareAndSwap(false, true) {
-		panic(engineMisuseMsg)
-	}
-	defer e.running.Store(false)
-
-	n := 0
-	for len(e.events) > 0 && e.events[0].at < end {
-		ev := e.pop()
-		e.now = ev.at
-		e.dispatch(&ev)
-		n++
-	}
-	e.curRank = nil
-	return n
-}
-
-// Handoff schedules h at absolute time t on dst. When dst is this
-// engine it is AtEvent; otherwise the event is stamped with this
-// engine's current genealogy context and appended to dst's cross-shard
-// mailbox, to be drained at a round boundary once dst's clock has
-// safely passed this shard's horizon. The group's lookahead bound
-// guarantees t lands at or beyond dst's next round start.
-func (e *Engine) Handoff(dst *Engine, t Time, h EventHandler) {
-	if dst == e {
-		e.AtEvent(t, h)
-		return
-	}
-	e.checkHandoff(dst)
-	dst.pushRemote(event{at: t, rank: e.newRank(), handler: h})
-}
-
-// HandoffStep is the coroutine-step variant of Handoff.
-func (e *Engine) HandoffStep(dst *Engine, t Time, c *Coro) {
-	if dst == e {
-		e.StepAt(t, c)
-		return
-	}
-	e.checkHandoff(dst)
-	dst.pushRemote(event{at: t, rank: e.newRank(), coro: c})
-}
-
-func (e *Engine) checkHandoff(dst *Engine) {
-	if e.group == nil || dst.group != e.group {
-		panic("sim: Handoff between engines not sharded under one Group")
-	}
-}
-
-// pushRemote appends a foreign event to the mailbox. Called from other
-// shards' goroutines; the mutex only ever contends with same-round
-// senders, never with the drain (which runs with all senders parked at
-// the round barrier or past the event's safe horizon).
-func (e *Engine) pushRemote(ev event) {
-	e.inboxMu.Lock()
-	e.inbox = append(e.inbox, ev)
-	e.inboxMu.Unlock()
-}
-
-// drainInbox moves mailbox events into the heap at a round boundary.
-// Every drained event must be at or after the window start the group
-// computed — an earlier event means the lookahead bound was violated
-// and the run is not reproducible, so panic loudly.
-func (e *Engine) drainInbox(start Time) {
-	e.inboxMu.Lock()
-	for _, ev := range e.inbox {
-		if ev.at < start {
-			panic(fmt.Sprintf("sim: cross-shard event at %d arrived after window start %d (lookahead violation)", ev.at, start))
-		}
-		e.insert(ev)
-	}
-	e.inbox = e.inbox[:0]
-	e.inboxMu.Unlock()
-}
-
-// minPending returns the earliest time among heap and mailbox events,
-// or Forever if the shard is idle. Called only between rounds, with
-// every shard worker parked.
-func (e *Engine) minPending() Time {
-	min := Forever
-	if len(e.events) > 0 {
-		min = e.events[0].at
-	}
-	e.inboxMu.Lock()
-	for i := range e.inbox {
-		if e.inbox[i].at < min {
-			min = e.inbox[i].at
-		}
-	}
-	e.inboxMu.Unlock()
-	return min
 }
 
 // RunUntilIdle processes all events without a time bound.

@@ -14,8 +14,8 @@ func TestRunReentrantPanics(t *testing.T) {
 		e.Run(Forever)
 	})
 	e.RunUntilIdle()
-	if recovered == nil {
-		t.Fatal("reentrant Run did not panic")
+	if recovered != engineMisuseMsg {
+		t.Fatalf("reentrant Run recovered %v, want %q", recovered, engineMisuseMsg)
 	}
 }
 
@@ -40,8 +40,8 @@ func TestRunConcurrentPanics(t *testing.T) {
 	<-entered
 	func() {
 		defer func() {
-			if recover() == nil {
-				t.Error("concurrent Run did not panic")
+			if r := recover(); r != engineMisuseMsg {
+				t.Errorf("concurrent Run recovered %v, want %q", r, engineMisuseMsg)
 			}
 		}()
 		e.Run(Forever)

@@ -45,19 +45,7 @@ func (e *Engine) RestoreEvent(at Time, seq uint64, coro *Coro, h EventHandler) {
 	if coro == nil && h == nil {
 		panic("sim: RestoreEvent with no payload")
 	}
-	ev := event{at: at, seq: seq, coro: coro, handler: h}
-	h2 := append(e.events, event{})
-	i := len(h2) - 1
-	for i > 0 {
-		p := (i - 1) / arity
-		if !ev.before(&h2[p]) {
-			break
-		}
-		h2[i] = h2[p]
-		i = p
-	}
-	h2[i] = ev
-	e.events = h2
+	e.insert(event{at: at, seq: seq, coro: coro, handler: h})
 }
 
 // ResourceState is the serializable state of a Resource: the occupancy

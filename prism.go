@@ -140,24 +140,6 @@ func WithHardwareSync() Option {
 	})
 }
 
-// WithParallelism runs the machine on the conservative parallel
-// engine: nodes are sharded across n engines (capped at the node
-// count) synchronized by lookahead windows derived from the network
-// latency. Results are byte-identical to a sequential run — only host
-// wall-clock changes. n <= 1 keeps the default sequential engine.
-//
-// Restrictions (all rejected explicitly rather than racing): armed
-// fault plans and page-migration drivers fail at build/attach,
-// SampleMetrics panics, checkpoint capture/restore returns
-// core.ErrParallelCheckpoint, and workloads taking software
-// test-and-set locks must enable WithHardwareSync.
-func WithParallelism(n int) Option {
-	return optionFunc(func(c *core.Config) error {
-		c.Parallelism = n
-		return nil
-	})
-}
-
 // WithPageCacheCaps overrides the per-node page-cache capacity (the
 // SCOMA-70 two-pass sizing); caps must have one entry per node.
 func WithPageCacheCaps(caps []int) Option {

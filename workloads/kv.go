@@ -48,8 +48,7 @@ type KV struct {
 
 func init() {
 	Register(Descriptor{
-		Name:     "kv",
-		LockFree: true,
+		Name: "kv",
 		DefaultParams: Params{
 			"shards":   "64",
 			"keys":     "32768",

@@ -43,8 +43,7 @@ type PubSub struct {
 
 func init() {
 	Register(Descriptor{
-		Name:     "pubsub",
-		LockFree: true,
+		Name: "pubsub",
 		DefaultParams: Params{
 			"topics":  "256",
 			"subs":    "8",

@@ -76,7 +76,7 @@ func (p Params) Float(key string) (float64, error) {
 // algorithm on host memory, simulated references per touched line, and
 // shared state mutated only under gate-ordered synchronization (one
 // lock, or barrier-separated single-writer phases — DESIGN.md §8), so
-// checkpoints and the parallel engine both work.
+// checkpoints work.
 type Descriptor struct {
 	// Name is the canonical spelling (lower case). Lookup is
 	// case-insensitive; Aliases add further spellings ("waternsq").
@@ -87,11 +87,6 @@ type Descriptor struct {
 	// it every default sweep — contains exactly the paper workloads;
 	// the rest are selected explicitly.
 	Paper bool
-
-	// LockFree declares that the workload synchronizes only through
-	// barriers (no Lock calls), making it eligible for the parallel
-	// engine without hardware sync.
-	LockFree bool
 
 	// DefaultParams names every tunable with its default value; nil
 	// means the workload takes no parameters.

@@ -10,8 +10,8 @@ import (
 
 func TestRegistryWrapperEquivalence(t *testing.T) {
 	// The thin wrappers must reproduce the old hand-maintained
-	// switches: Table 2 names in paper order, the historical case
-	// variants, and the lock-free set.
+	// switches: Table 2 names in paper order and the historical case
+	// variants.
 	wantNames := []string{"barnes", "fft", "lu", "mp3d", "ocean", "radix", "water-nsq", "water-spa"}
 	got := Names()
 	if len(got) != len(wantNames) {
@@ -29,18 +29,6 @@ func TestRegistryWrapperEquivalence(t *testing.T) {
 		} else if w == nil {
 			t.Errorf("ByName(%q): nil workload", spelling)
 		}
-	}
-	lockFree := map[string]bool{
-		"barnes": false, "fft": true, "lu": true, "mp3d": true,
-		"ocean": true, "radix": true, "water-nsq": false, "water-spa": false,
-	}
-	for name, want := range lockFree {
-		if LockFree(name) != want {
-			t.Errorf("LockFree(%q) = %v, want %v", name, !want, want)
-		}
-	}
-	if LockFree("no-such-workload") {
-		t.Error("LockFree of unknown workload should be false")
 	}
 }
 

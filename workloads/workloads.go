@@ -134,15 +134,15 @@ func init() {
 	}
 	Register(Descriptor{Name: "barnes", Paper: true, Sizes: PaperSizes,
 		New: wrap(func(s Size) prism.Workload { return NewBarnes(s) })})
-	Register(Descriptor{Name: "fft", Paper: true, LockFree: true, Sizes: PaperSizes,
+	Register(Descriptor{Name: "fft", Paper: true, Sizes: PaperSizes,
 		New: wrap(func(s Size) prism.Workload { return NewFFT(s) })})
-	Register(Descriptor{Name: "lu", Paper: true, LockFree: true, Sizes: PaperSizes,
+	Register(Descriptor{Name: "lu", Paper: true, Sizes: PaperSizes,
 		New: wrap(func(s Size) prism.Workload { return NewLU(s) })})
-	Register(Descriptor{Name: "mp3d", Paper: true, LockFree: true, Sizes: PaperSizes,
+	Register(Descriptor{Name: "mp3d", Paper: true, Sizes: PaperSizes,
 		New: wrap(func(s Size) prism.Workload { return NewMP3D(s) })})
-	Register(Descriptor{Name: "ocean", Paper: true, LockFree: true, Sizes: PaperSizes,
+	Register(Descriptor{Name: "ocean", Paper: true, Sizes: PaperSizes,
 		New: wrap(func(s Size) prism.Workload { return NewOcean(s) })})
-	Register(Descriptor{Name: "radix", Paper: true, LockFree: true, Sizes: PaperSizes,
+	Register(Descriptor{Name: "radix", Paper: true, Sizes: PaperSizes,
 		New: wrap(func(s Size) prism.Workload { return NewRadix(s) })})
 	Register(Descriptor{Name: "water-nsq", Aliases: []string{"waternsq"}, Paper: true, Sizes: PaperSizes,
 		New: wrap(func(s Size) prism.Workload { return NewWaterNsq(s) })})
@@ -177,17 +177,6 @@ func AllNames() []string {
 		out = append(out, d.Name)
 	}
 	return out
-}
-
-// LockFree reports whether the named workload synchronizes only
-// through barriers (no Ctx.Lock calls). Lock-free kernels can run on
-// the parallel engine even without hardware sync; lock-taking ones
-// (barnes, the water codes) need WithHardwareSync, since software
-// test-and-set locks are inherently order-dependent and unsupported
-// there. The harness uses this to pick the engine per cell.
-func LockFree(name string) bool {
-	d, ok := Lookup(name)
-	return ok && d.LockFree
 }
 
 // All builds every paper workload at the given size.

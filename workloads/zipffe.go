@@ -37,9 +37,8 @@ const zipfPageBytes = 4096
 
 func init() {
 	Register(Descriptor{
-		Name:     "zipf",
-		Aliases:  []string{"zipffe"},
-		LockFree: true,
+		Name:    "zipf",
+		Aliases: []string{"zipffe"},
 		DefaultParams: Params{
 			"pages":  "2048",
 			"ops":    "2048",
