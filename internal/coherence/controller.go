@@ -165,11 +165,40 @@ func (c *Controller) clientEv(fl Filler, excl, fault, retry bool) *clientEvent {
 }
 
 // homeTxn is an in-flight multi-party transaction at the home side.
+// The continuations read their state from the record itself, so a
+// transaction allocates nothing beyond its pooled homeTxn.
 type homeTxn struct {
 	needAcks int
-	finish   func()
-	onRecall func(RecallRespMsg)
+	then     txnThen // what the last ack does
+	// recall marks a 3-party transaction still waiting for the
+	// owner's RecallRespMsg (recallDone).
+	recall bool
+
+	// Continuation state for thenGrantExcl and recall.
+	m        GetMsg
+	src      mem.NodeID // requester
+	owner    mem.NodeID // recalled owner
+	f        mem.FrameID
+	ent      *pit.Entry
+	line     *directory.Line
+	withData bool
 }
+
+// txnThen selects what a home transaction does when its last ack
+// arrives.
+type txnThen uint8
+
+const (
+	// thenUnlock releases the line: the transaction was only
+	// collecting terminal acks.
+	thenUnlock txnThen = iota
+	// thenWired does nothing: the completion is wired up later by a
+	// pooled event (getEvent calls awaitGrantAck).
+	thenWired
+	// thenGrantExcl grants exclusivity once every sharer of a GETX on
+	// a shared line has acked its invalidation (grantExcl).
+	thenGrantExcl
+)
 
 // Controller is one node's PRISM coherence controller.
 type Controller struct {
@@ -193,7 +222,7 @@ type Controller struct {
 	client     map[lineKey]*clientTxn
 	freeClient []*clientEvent // pooled fill/retry completion events
 	home       map[lineKey]*homeTxn
-	homeQ      map[lineKey][]func()
+	homeQ      map[lineKey][]GetMsg // Gets waiting for a locked line, FIFO
 	flushWait  map[uint64]func(at sim.Time)
 	flushToken uint64
 
@@ -247,6 +276,7 @@ type Controller struct {
 	freeRecallEv []*recallEvent
 	freeGetEv    []*getEvent
 	freeAckEv    []*ackEvent
+	freeDrainEv  []*drainEvent
 
 	// sharerScratch is handleGet's reused sharer list (valid only until
 	// the next GETX handled by this controller).
@@ -276,7 +306,7 @@ func New(e *sim.Engine, node mem.NodeID, geom mem.Geometry, tm *timing.T, cfg Co
 		local: local, router: router, pager: pager,
 		client:       make(map[lineKey]*clientTxn),
 		home:         make(map[lineKey]*homeTxn),
-		homeQ:        make(map[lineKey][]func()),
+		homeQ:        make(map[lineKey][]GetMsg),
 		flushWait:    make(map[uint64]func(at sim.Time)),
 		clientFrames: make(map[mem.GPage]map[mem.NodeID]mem.FrameID),
 		pools:        NewMsgPools(), // standalone default; see UsePools

@@ -14,7 +14,7 @@ func (c *Controller) DebugState() string {
 	}
 	for k, t := range c.home {
 		fmt.Fprintf(&b, "node%d home txn %v:%d needAcks=%d recall=%v queued=%d\n",
-			c.node, k.page, k.line, t.needAcks, t.onRecall != nil, len(c.homeQ[k]))
+			c.node, k.page, k.line, t.needAcks, t.recall, len(c.homeQ[k]))
 	}
 	for k, q := range c.homeQ {
 		if c.home[k] == nil && len(q) > 0 {

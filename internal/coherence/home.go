@@ -59,14 +59,10 @@ func (c *Controller) forward(t sim.Time, src mem.NodeID, m GetMsg) {
 	_ = src
 }
 
-// noFinish marks a transaction whose completion is wired up later
-// (awaitGrantAck): a nil finish would mean "just unlock" — see ack.
-var noFinish = func() {}
-
-// lockLine marks a line busy for a multi-party home transaction. A nil
-// finish means the transaction simply unlocks the line when the last
-// ack arrives — the common case, kept closure-free.
-func (c *Controller) lockLine(key lineKey, needAcks int, finish func()) *homeTxn {
+// lockLine marks a line busy for a multi-party home transaction; then
+// selects what the last ack does (see homeTxn). The caller fills in any
+// continuation state on the returned record.
+func (c *Controller) lockLine(key lineKey, needAcks int, then txnThen) *homeTxn {
 	if c.home[key] != nil {
 		panic(fmt.Sprintf("coherence: node %d: line %v already locked", c.node, key))
 	}
@@ -77,7 +73,7 @@ func (c *Controller) lockLine(key lineKey, needAcks int, finish func()) *homeTxn
 	} else {
 		txn = &homeTxn{}
 	}
-	txn.needAcks, txn.finish = needAcks, finish
+	txn.needAcks, txn.then = needAcks, then
 	c.home[key] = txn
 	return txn
 }
@@ -86,33 +82,52 @@ func (c *Controller) lockLine(key lineKey, needAcks int, finish func()) *homeTxn
 func (c *Controller) unlockLine(key lineKey) {
 	if txn := c.home[key]; txn != nil {
 		delete(c.home, key)
-		txn.finish, txn.onRecall = nil, nil
+		*txn = homeTxn{}
 		c.freeHome = append(c.freeHome, txn)
 	}
 	c.drainQueue(key)
 }
 
-// drainQueue pops one queued request for the line. If that request
-// completes synchronously (it did not re-lock the line), the next one
-// is drained in turn — otherwise its unlockLine continues the drain.
+// drainQueue pops one queued request for the line and re-dispatches it
+// in a zero-delay event. If that request completes synchronously (it
+// did not re-lock the line), the event drains the next one in turn —
+// otherwise its unlockLine continues the drain.
 func (c *Controller) drainQueue(key lineKey) {
 	q := c.homeQ[key]
 	if len(q) == 0 {
 		delete(c.homeQ, key)
 		return
 	}
-	next := q[0]
+	var ev *drainEvent
+	if n := len(c.freeDrainEv); n > 0 {
+		ev = c.freeDrainEv[n-1]
+		c.freeDrainEv = c.freeDrainEv[:n-1]
+	} else {
+		ev = &drainEvent{c: c}
+	}
+	ev.m, ev.key = q[0], key
 	if len(q) == 1 {
 		delete(c.homeQ, key)
 	} else {
 		c.homeQ[key] = q[1:]
 	}
-	c.e.Schedule(0, func() {
-		next()
-		if c.home[key] == nil {
-			c.drainQueue(key)
-		}
-	})
+	c.e.ScheduleEvent(0, ev)
+}
+
+// drainEvent is the pooled record that re-dispatches one queued Get.
+type drainEvent struct {
+	c   *Controller
+	m   GetMsg
+	key lineKey
+}
+
+func (ev *drainEvent) OnEvent(sim.Time) {
+	c, m, key := ev.c, ev.m, ev.key
+	c.freeDrainEv = append(c.freeDrainEv, ev)
+	c.handleGet(m.From, m, true)
+	if c.home[key] == nil {
+		c.drainQueue(key)
+	}
 }
 
 // ack counts one acknowledgement toward a home transaction.
@@ -125,18 +140,19 @@ func (c *Controller) ack(key lineKey) {
 	}
 	txn.needAcks--
 	if txn.needAcks == 0 {
-		if txn.finish != nil {
-			txn.finish()
-		} else {
+		switch txn.then {
+		case thenUnlock:
 			c.unlockLine(key)
+		case thenGrantExcl:
+			c.grantExcl(key, txn)
 		}
 	}
 }
 
 // handleGet is the home side of the protocol: Figure 4's "translate,
 // compose message, consult directory" path. m arrives by value: the
-// delivered message is already back in its pool, and the transaction
-// closures below capture the copy.
+// delivered message is already back in its pool, and a transaction
+// that outlives the call keeps its copy in the homeTxn.
 func (c *Controller) handleGet(src mem.NodeID, m GetMsg, requeued bool) {
 	// The request may have been forwarded; the requester is m.From,
 	// not the transport-level sender.
@@ -172,7 +188,7 @@ func (c *Controller) handleGet(src mem.NodeID, m GetMsg, requeued bool) {
 
 	key := lineKey{m.Page, m.Line}
 	if c.home[key] != nil {
-		c.homeQ[key] = append(c.homeQ[key], func() { c.handleGet(src, m, true) })
+		c.homeQ[key] = append(c.homeQ[key], m)
 		return
 	}
 
@@ -204,7 +220,7 @@ func (c *Controller) handleGet(src mem.NodeID, m GetMsg, requeued bool) {
 		// The home's own processors may hold the line modified:
 		// retrieve it over the home bus (Table 1: "2-party read/write
 		// to a modified line").
-		c.lockLine(key, 1, noFinish) // completion wired up via awaitGrantAck
+		c.lockLine(key, 1, thenWired)
 		ev := c.getGetEvent()
 		ev.m, ev.src, ev.pa, ev.f, ev.key = m, src, pa, f, key
 		ev.ent, ev.line = ent, e
@@ -214,7 +230,7 @@ func (c *Controller) handleGet(src mem.NodeID, m GetMsg, requeued bool) {
 		// The owner re-requests: it silently evicted its copy (clean
 		// LA-NUMA eviction). Home memory is current; re-grant
 		// exclusivity regardless of the request flavor.
-		c.lockLine(key, 1, nil)
+		c.lockLine(key, 1, thenUnlock)
 		rm := c.memAccess(t, c.tm.MemRead)
 		c.reply(rm, src, m, true, true, false, f)
 
@@ -223,7 +239,9 @@ func (c *Controller) handleGet(src mem.NodeID, m GetMsg, requeued bool) {
 		// read/write"). The owner sends the data directly to the
 		// requester; the home waits only for the sharing writeback.
 		owner := e.Owner
-		c.lockLine(key, 2, nil)
+		txn := c.lockLine(key, 2, thenUnlock)
+		txn.recall = true
+		txn.m, txn.src, txn.owner, txn.f, txn.line = m, src, owner, f, e
 		hint, hintOK := c.clientHint(m.Page, owner)
 		out := c.ctrlBusy(t, c.tm.CtrlOut)
 		rc := c.pools.recall.Get()
@@ -231,30 +249,6 @@ func (c *Controller) handleGet(src mem.NodeID, m GetMsg, requeued bool) {
 		rc.ClientFrame, rc.ClientFrameOK = hint, hintOK
 		rc.Requester, rc.ReqFrame, rc.HomeFrame = src, m.ReqFrame, f
 		c.send(out, owner, c.tm.MsgHeader, rc)
-		c.pendingRecall(key, func(resp RecallRespMsg) {
-			at := c.e.Now()
-			if resp.Dirty {
-				at = c.memAccess(at, c.tm.MemWrite)
-			}
-			if m.Excl {
-				*e = dirLineExcl(src)
-			} else if resp.Had {
-				e.Excl = false
-				e.Owner = 0
-				e.Sharers = directory.NodeSet{}
-				e.AddSharer(owner)
-				e.AddSharer(src)
-			} else {
-				// Owner had silently evicted and could not reply: the
-				// home supplies the data and grants exclusivity (sole
-				// copy).
-				*e = dirLineExcl(src)
-			}
-			if !resp.Had {
-				rm := c.memAccess(at, c.tm.MemRead)
-				c.reply(rm, src, m, true, true, false, f)
-			}
-		})
 
 	case !m.Excl:
 		// GETS on a shared (or uncached) line: home memory is current.
@@ -268,7 +262,7 @@ func (c *Controller) handleGet(src mem.NodeID, m GetMsg, requeued bool) {
 				c.PIT.SetTag(f, m.Line, pit.TagInvalid)
 			}
 		}
-		c.lockLine(key, 1, nil)
+		c.lockLine(key, 1, thenUnlock)
 		rm := c.memAccess(t, c.tm.MemRead)
 		c.reply(rm, src, m, true, excl, false, f)
 
@@ -291,20 +285,13 @@ func (c *Controller) handleGet(src mem.NodeID, m GetMsg, requeued bool) {
 			}
 			// The home reads memory even on an upgrade (validation of
 			// the grant), though no data payload crosses the network.
-			c.lockLine(key, 1, nil)
+			c.lockLine(key, 1, thenUnlock)
 			rm := c.memAccess(t, c.tm.MemRead)
 			c.reply(rm, src, m, withData, true, false, f)
 			return
 		}
-		c.lockLine(key, len(sharers), func() {
-			*e = dirLineExcl(src)
-			if src != c.node && ent.Mode == pit.ModeSCOMA {
-				c.PIT.SetTag(f, m.Line, pit.TagInvalid)
-			}
-			at := c.memAccess(c.e.Now(), c.tm.MemRead)
-			c.reply(at, src, m, withData, true, false, f)
-			c.awaitGrantAck(key)
-		})
+		txn := c.lockLine(key, len(sharers), thenGrantExcl)
+		txn.m, txn.src, txn.f, txn.ent, txn.line, txn.withData = m, src, f, ent, e, withData
 		for i, s := range sharers {
 			stagger := sim.Time(i) * c.tm.InvStagger
 			if s == c.node {
@@ -330,6 +317,48 @@ func (c *Controller) handleGet(src mem.NodeID, m GetMsg, requeued bool) {
 
 func dirLineExcl(owner mem.NodeID) directory.Line {
 	return directory.Line{Excl: true, Owner: owner}
+}
+
+// grantExcl completes a GETX on a shared line once every sharer has
+// acknowledged its invalidation: the requester becomes the exclusive
+// owner and the line waits only for its grant ack.
+func (c *Controller) grantExcl(key lineKey, txn *homeTxn) {
+	*txn.line = dirLineExcl(txn.src)
+	if txn.src != c.node && txn.ent.Mode == pit.ModeSCOMA {
+		c.PIT.SetTag(txn.f, txn.m.Line, pit.TagInvalid)
+	}
+	at := c.memAccess(c.e.Now(), c.tm.MemRead)
+	c.reply(at, txn.src, txn.m, txn.withData, true, false, txn.f)
+	c.awaitGrantAck(key)
+}
+
+// recallDone continues a 3-party transaction when the owner answers
+// the recall: it updates the directory and, if the owner had silently
+// evicted its copy and could not supply the data, replies from home
+// memory.
+func (c *Controller) recallDone(txn *homeTxn, resp *RecallRespMsg) {
+	at := c.e.Now()
+	if resp.Dirty {
+		at = c.memAccess(at, c.tm.MemWrite)
+	}
+	e := txn.line
+	if txn.m.Excl {
+		*e = dirLineExcl(txn.src)
+	} else if resp.Had {
+		e.Excl = false
+		e.Owner = 0
+		e.Sharers = directory.NodeSet{}
+		e.AddSharer(txn.owner)
+		e.AddSharer(txn.src)
+	} else {
+		// Owner had silently evicted and could not reply: the home
+		// supplies the data and grants exclusivity (sole copy).
+		*e = dirLineExcl(txn.src)
+	}
+	if !resp.Had {
+		rm := c.memAccess(at, c.tm.MemRead)
+		c.reply(rm, txn.src, txn.m, true, true, false, txn.f)
+	}
 }
 
 // getEvent is the pooled bus-retrieve record for a 2-party Get whose
@@ -428,15 +457,6 @@ func (c *Controller) clientHint(g mem.GPage, n mem.NodeID) (mem.FrameID, bool) {
 	return f, ok
 }
 
-// pendingRecall stashes the continuation for a recall in flight.
-func (c *Controller) pendingRecall(key lineKey, fn func(RecallRespMsg)) {
-	txn := c.home[key]
-	if txn == nil {
-		panic("coherence: pendingRecall without locked line")
-	}
-	txn.onRecall = fn
-}
-
 // awaitGrantAck converts a locked line's transaction into one waiting
 // solely for the requester's GrantAckMsg.
 func (c *Controller) awaitGrantAck(key lineKey) {
@@ -445,7 +465,7 @@ func (c *Controller) awaitGrantAck(key lineKey) {
 		panic("coherence: awaitGrantAck without locked line")
 	}
 	txn.needAcks = 1
-	txn.finish = nil
+	txn.then = thenUnlock
 }
 
 // handleGrantAck unlocks a line whose grant has been consumed.
@@ -465,12 +485,11 @@ func (c *Controller) handleRecallResp(src mem.NodeID, m *RecallRespMsg) {
 	c.ctrlBusy(c.e.Now(), c.tm.CtrlIn)
 	key := lineKey{m.Page, m.Line}
 	txn := c.home[key]
-	if txn == nil || txn.onRecall == nil {
+	if txn == nil || !txn.recall {
 		return // transaction superseded by a page drop
 	}
-	fn := txn.onRecall
-	txn.onRecall = nil
-	fn(*m)
+	txn.recall = false
+	c.recallDone(txn, m)
 	c.ack(key)
 }
 

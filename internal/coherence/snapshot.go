@@ -9,13 +9,14 @@ import (
 )
 
 // Serializable controller state. Transaction maps holding callbacks
-// into processor coroutines (client, homeQ, flushWait, held, lockWait)
-// are never captured: the capture layer requires Quiesced first, which
-// forbids them. Home transactions are the one exception: once a grant
-// is decided the home keeps the line locked waiting only for terminal
-// acknowledgements (awaitGrantAck, invalidation ack collection), and
-// such a transaction is closure-free — pure ack arithmetic — so these
-// "tails" are captured as HomeTailState and rebuilt verbatim. Hardware
+// into processor coroutines or queued requests (client, homeQ,
+// flushWait, held, lockWait) are never captured: the capture layer
+// requires Quiesced first, which forbids them. Home transactions are
+// the one exception: once a grant is decided the home keeps the line
+// locked waiting only for terminal acknowledgements (awaitGrantAck,
+// invalidation ack collection), and such a transaction has no
+// continuation — pure ack arithmetic — so these "tails" are captured
+// as HomeTailState and rebuilt verbatim. Hardware
 // lock queues must also be empty, but a lock may be *held* across a
 // barrier, so held/holder are captured.
 
@@ -103,10 +104,10 @@ func (c *Controller) QuiesceBlocker() string {
 			return "queued hardware lock requesters"
 		}
 	}
-	// Closure-free home transactions (ack-collection tails) are
-	// serializable; any with a pending continuation is not.
+	// Home transactions that only collect acks before unlocking
+	// (tails) are serializable; any with a pending continuation is not.
 	for _, t := range c.home {
-		if t.finish != nil || t.onRecall != nil {
+		if t.then != thenUnlock || t.recall {
 			return "home txn with pending continuation"
 		}
 	}
@@ -195,7 +196,7 @@ func (c *Controller) ImportState(s ControllerState) {
 	for _, t := range s.HomeTails {
 		c.home[lineKey{page: mem.GPage{Seg: t.Seg, Page: t.Page}, line: t.Line}] = &homeTxn{needAcks: t.NeedAcks}
 	}
-	c.homeQ = make(map[lineKey][]func())
+	c.homeQ = make(map[lineKey][]GetMsg)
 	c.flushWait = make(map[uint64]func(at sim.Time))
 	c.held = nil
 	c.lockWait = nil

@@ -151,8 +151,16 @@ func (o *Options) config(polName string, caps []int) (prism.Config, error) {
 	return cfg, nil
 }
 
-// runOne executes one app × policy.
-func (o *Options) runOne(app, polName string, caps []int) (prism.Results, error) {
+// runOne executes one app × policy. A panic anywhere in the cell —
+// in engine context, or on a processor coroutine, whose panic Step
+// re-raises in the engine's goroutine — becomes the cell's error, so
+// one failing cell cannot crash a sweep's worker or a server.
+func (o *Options) runOne(app, polName string, caps []int) (res prism.Results, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			res, err = prism.Results{}, fmt.Errorf("%s/%s: %v", app, polName, r)
+		}
+	}()
 	cfg, err := o.config(polName, caps)
 	if err != nil {
 		return prism.Results{}, err
@@ -168,7 +176,7 @@ func (o *Options) runOne(app, polName string, caps []int) (prism.Results, error)
 	if err != nil {
 		return prism.Results{}, err
 	}
-	res, err := m.Run(w)
+	res, err = m.Run(w)
 	if err != nil {
 		return prism.Results{}, fmt.Errorf("%s/%s: %w", app, polName, err)
 	}

@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"prism/internal/fault"
 	"prism/workloads"
 )
 
@@ -129,6 +130,31 @@ func TestParallelErrorIsDeterministic(t *testing.T) {
 		if parErr.Error() != seqErr.Error() {
 			t.Errorf("parallel error %q, sequential %q", parErr, seqErr)
 		}
+	}
+}
+
+// TestCellPanicIsCellError: a panic inside a cell — here the recovery
+// transport's retry cap, raised in engine context on a pool worker —
+// comes back as an error naming the cell instead of crashing the
+// process.
+func TestCellPanicIsCellError(t *testing.T) {
+	plan, err := fault.ParseSpec("seed=1,drop=0.9,retry=2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{
+		Size:     workloads.MiniSize,
+		Apps:     []string{"fft", "radix"},
+		Policies: []string{"SCOMA"},
+		Workers:  2,
+		Faults:   plan,
+	}
+	_, err = Run(opts)
+	if err == nil {
+		t.Fatal("sweep over a fabric dropping 90 percent of messages with retry cap 2 succeeded")
+	}
+	if msg := err.Error(); !strings.HasPrefix(msg, "fft/SCOMA: network: ") || !strings.Contains(msg, "retry cap") {
+		t.Fatalf("error %q does not name the cell and the retry cap", msg)
 	}
 }
 

@@ -549,3 +549,28 @@ func TestResubmitAfterDoneIsCached(t *testing.T) {
 		}
 	}
 }
+
+// TestFailingCellKeepsServerUp: a cell that panics (the recovery
+// transport's retry cap) fails its job with the panic's text; the
+// server stays healthy and runs the next submission.
+func TestFailingCellKeepsServerUp(t *testing.T) {
+	_, c := startServer(t, server.Config{})
+	bad := server.Spec{Size: "mini", Apps: []string{"fft", "radix"}, Policies: []string{"SCOMA"}, Faults: "seed=1,drop=0.9,retry=2"}
+	st, err := c.Submit(&bad)
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	st = waitState(t, c, st.ID, server.StateFailed)
+	if !strings.Contains(st.Error, "fft/SCOMA: ") || !strings.Contains(st.Error, "retry cap") {
+		t.Errorf("failed job error %q does not name the cell and the retry cap", st.Error)
+	}
+	if err := c.Health(); err != nil {
+		t.Fatalf("healthz after a failed job: %v", err)
+	}
+	good := tinySpec
+	st, err = c.Submit(&good)
+	if err != nil {
+		t.Fatalf("Submit after a failed job: %v", err)
+	}
+	waitState(t, c, st.ID, server.StateDone)
+}

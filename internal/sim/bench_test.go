@@ -39,8 +39,8 @@ func BenchmarkEventQueueStep(b *testing.B) {
 	}
 }
 
-// BenchmarkCoroutineHandoff measures one block/step round trip over
-// the single rendezvous channel; the steady state must be 0 allocs/op.
+// BenchmarkCoroutineHandoff measures one block/step round trip, two
+// runtime coroutine switches; the steady state must be 0 allocs/op.
 func BenchmarkCoroutineHandoff(b *testing.B) {
 	e := NewEngine()
 	c := NewCoro("bench")

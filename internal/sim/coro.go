@@ -1,29 +1,30 @@
+//go:build go1.23
+
 package sim
 
+import "iter"
+
 // Coro is a coroutine context for one simulated processor. The
-// processor's workload code runs on its own goroutine, but the engine
-// enforces strict handoff: exactly one of {engine, some coroutine} is
-// executing at any moment. A coroutine runs until it blocks (waiting
-// for a modeled latency or a synchronization event) or finishes; the
-// engine then continues processing events.
+// processor's workload code runs on its own goroutine, but exactly one
+// of {engine, some coroutine} is executing at any moment. A coroutine
+// runs until it blocks (waiting for a modeled latency or a
+// synchronization event) or finishes; the engine then continues
+// processing events.
 //
 // This is the execution-driven simulation structure of Augmint: the
 // functional program runs natively, yielding to the timing model at
 // every point where simulated time must pass.
 //
-// The handoff uses a single unbuffered rendezvous channel in strict
-// ping-pong (it used to be a resume channel plus a yield channel —
-// twice the channels and twice the runtime channel structures touched
-// per block/step round trip). Strict alternation makes one channel
-// sufficient: the engine's send can only pair with the coroutine's
-// receive and vice versa, so ownership of the channel *is* ownership
-// of the right to run.
+// The body runs inside an iter.Pull sequence: Step is the pull's next
+// and Block is the sequence's yield. The runtime switches the thread
+// directly between the two goroutines (coroswitch), so a block/step
+// round trip never touches the scheduler's run queues or wakes another
+// CPU. A panic in the body re-panics out of the Step that resumed it,
+// in the caller's goroutine.
 type Coro struct {
-	// rendezvous carries both directions of the handoff: Step sends to
-	// resume the coroutine then receives its yield; Block sends the
-	// yield then receives the next resume.
-	rendezvous chan struct{}
-	done       bool
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+	done  bool
 
 	// Label is a diagnostic name ("node2.cpu1").
 	Label string
@@ -31,45 +32,41 @@ type Coro struct {
 
 // NewCoro allocates an un-started coroutine context.
 func NewCoro(label string) *Coro {
-	return &Coro{
-		rendezvous: make(chan struct{}),
-		Label:      label,
-	}
+	return &Coro{Label: label}
 }
 
-// Start launches body on a fresh goroutine. The body does not begin
-// executing until the first Step. When body returns, the coroutine is
-// marked done and control passes back to the engine.
+// Start prepares body to run as the coroutine. The body does not begin
+// executing until the first Step. When body returns (or panics), the
+// coroutine is marked done and control passes back to the engine.
 func (c *Coro) Start(body func()) {
-	go func() {
-		<-c.rendezvous
+	c.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		c.yield = yield
+		defer func() { c.done = true }()
 		body()
-		c.done = true
-		c.rendezvous <- struct{}{}
-	}()
+	})
 }
 
-// Step transfers control to the coroutine and blocks until it yields
+// Step transfers control to the coroutine and returns when it yields
 // again (via Block) or finishes. It must only be called from engine
-// context (inside an event function or before Run begins).
-// It reports whether the coroutine is still live afterwards.
+// context (inside an event function or before Run begins), and it may
+// be called from a different goroutine than the previous Step as long
+// as the calls never overlap. It reports whether the coroutine is
+// still live afterwards.
 func (c *Coro) Step() bool {
 	if c.done {
 		panic("sim: Step on finished coroutine " + c.Label)
 	}
-	c.rendezvous <- struct{}{} // resume the coroutine...
-	<-c.rendezvous             // ...and wait for it to yield
+	c.next()
 	return !c.done
 }
 
 // Block suspends the coroutine until the next Step. It must only be
-// called from the coroutine's own goroutine. The caller is responsible
-// for having arranged a future Step (e.g. by scheduling an event that
+// called from the coroutine's own body. The caller is responsible for
+// having arranged a future Step (e.g. by scheduling an event that
 // calls it); otherwise the simulation deadlocks, which the engine
 // reports as a drained event queue with live coroutines.
 func (c *Coro) Block() {
-	c.rendezvous <- struct{}{} // yield to the engine...
-	<-c.rendezvous             // ...and wait to be resumed
+	c.yield(struct{}{})
 }
 
 // Done reports whether the coroutine's body has returned.
@@ -77,7 +74,7 @@ func (c *Coro) Done() bool { return c.done }
 
 // WaitUntil blocks the coroutine until simulated time t. It schedules
 // its own wake-up event (closure-free: the event holds the coroutine
-// itself). Must be called from the coroutine goroutine.
+// itself). Must be called from the coroutine's body.
 func (c *Coro) WaitUntil(e *Engine, t Time) {
 	e.StepAt(t, c)
 	c.Block()
@@ -90,7 +87,7 @@ type Queue struct {
 }
 
 // Wait appends the coroutine and blocks it. Must be called from the
-// coroutine goroutine.
+// coroutine's body.
 func (q *Queue) Wait(c *Coro) {
 	q.waiters = append(q.waiters, c)
 	c.Block()

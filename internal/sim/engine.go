@@ -13,7 +13,8 @@
 // One-engine-per-goroutine invariant: an Engine — and every model
 // object attached to it (resources, networks, machines) — is confined
 // to the single goroutine that drives Run. The workload coroutines an
-// engine manages obey a strict handoff, so they never violate this.
+// engine manages run only while that goroutine is switched out to
+// them inside Step (see Coro), so they never violate this.
 // Engines share no package state: distinct Engine instances are fully
 // independent and may run concurrently on distinct goroutines, which
 // is exactly how the parallel experiment harness executes one Machine

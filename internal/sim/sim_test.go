@@ -144,11 +144,69 @@ func TestCoroutineStepAfterDonePanics(t *testing.T) {
 	e.Schedule(0, func() { c.Step() })
 	e.RunUntilIdle()
 	defer func() {
-		if recover() == nil {
-			t.Error("Step on done coroutine did not panic")
+		if r := recover(); r != "sim: Step on finished coroutine t" {
+			t.Errorf("Step on done coroutine recovered %v", r)
 		}
 	}()
 	c.Step()
+}
+
+// TestCoroutineBodyPanic: a panic in the body re-panics out of the
+// Step that resumed it — through Engine.Run when an event stepped it —
+// with the body's own value, and the coroutine is done afterwards.
+func TestCoroutineBodyPanic(t *testing.T) {
+	e := NewEngine()
+	c := NewCoro("p")
+	c.Start(func() {
+		c.WaitUntil(e, 10)
+		panic("boom")
+	})
+	e.ScheduleStep(0, c)
+	func() {
+		defer func() {
+			if r := recover(); r != "boom" {
+				t.Errorf("Run recovered %v, want the body's panic value", r)
+			}
+		}()
+		e.RunUntilIdle()
+	}()
+	if !c.Done() {
+		t.Fatal("coroutine not done after its body panicked")
+	}
+	if e.Now() != 10 {
+		t.Fatalf("panic surfaced at t=%d, want 10", e.Now())
+	}
+	// The engine is usable again: Run released its guard.
+	ran := false
+	e.Schedule(1, func() { ran = true })
+	e.RunUntilIdle()
+	if !ran {
+		t.Fatal("engine did not run after a coroutine panic")
+	}
+}
+
+// TestCoroutineStepAcrossGoroutines: Step may be called from a
+// different goroutine each time, in sequence, never concurrently — a
+// machine can be built on one goroutine and run on another.
+func TestCoroutineStepAcrossGoroutines(t *testing.T) {
+	c := NewCoro("x")
+	var trace []int
+	c.Start(func() {
+		for i := 0; i < 3; i++ {
+			trace = append(trace, i)
+			c.Block()
+		}
+	})
+	for i := 0; i < 4; i++ {
+		live := make(chan bool)
+		go func() { live <- c.Step() }()
+		if got, want := <-live, i < 3; got != want {
+			t.Fatalf("step %d reported live=%v, want %v", i, got, want)
+		}
+	}
+	if !c.Done() || len(trace) != 3 || trace[2] != 2 {
+		t.Fatalf("done=%v trace=%v", c.Done(), trace)
+	}
 }
 
 func TestQueueWakeOneFIFO(t *testing.T) {
