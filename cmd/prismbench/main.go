@@ -22,6 +22,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
@@ -31,7 +32,7 @@ import (
 func main() {
 	defer harness.HandlePanic("prismbench")
 	var cli harness.CLI
-	exp := flag.String("exp", "all", "experiments: table1,table2,fig7,table3,table4,table5,pit,all")
+	exp := flag.String("exp", "all", "experiments: "+strings.Join(experiments, ",")+",all")
 	cli.RegisterSize(flag.CommandLine, "ci")
 	apps := flag.String("apps", "", "comma-separated app specs, name[:key=val;key=val] (default the eight SPLASH kernels)")
 	pols := flag.String("pols", "", "comma-separated policy subset in sweep order (default the Figure 7 six)")
@@ -87,14 +88,9 @@ func main() {
 		fatal(err)
 	}
 
-	want := map[string]bool{}
-	for _, e := range strings.Split(*exp, ",") {
-		want[strings.TrimSpace(e)] = true
-	}
-	if want["all"] {
-		for _, e := range []string{"table1", "table2", "fig7", "table3", "table4", "table5", "pit"} {
-			want[e] = true
-		}
+	want, err := parseExperiments(*exp)
+	if err != nil {
+		fatal(err)
 	}
 
 	opts := harness.Options{
@@ -204,6 +200,29 @@ func main() {
 	} else if *benchJSON != "" || *benchCheck != "" {
 		fatal(fmt.Errorf("-benchjson/-benchcheck need -bench"))
 	}
+}
+
+// experiments are the -exp names, in output order; "all" selects each.
+var experiments = []string{"table1", "table2", "fig7", "table3", "table4", "table5", "pit"}
+
+// parseExperiments turns the -exp list into the set of experiments to
+// run, rejecting any name that is not an experiment or "all".
+func parseExperiments(list string) (map[string]bool, error) {
+	want := map[string]bool{}
+	for _, e := range strings.Split(list, ",") {
+		e = strings.TrimSpace(e)
+		switch {
+		case e == "all":
+			for _, x := range experiments {
+				want[x] = true
+			}
+		case slices.Contains(experiments, e):
+			want[e] = true
+		default:
+			return nil, fmt.Errorf("-exp: unknown experiment %q (valid: %s,all)", e, strings.Join(experiments, ","))
+		}
+	}
+	return want, nil
 }
 
 func fatal(err error) {

@@ -147,6 +147,27 @@ func TestHotPagesOrdering(t *testing.T) {
 	}
 }
 
+// TestLineKeyPacking: the packed key round-trips every field at its
+// extremes, so distinct lines of any geometry mem.Geometry.Validate
+// accepts never share a key.
+func TestLineKeyPacking(t *testing.T) {
+	pages := []mem.GPage{{}, {Seg: 1, Page: 1}, {Seg: ^mem.GSID(0), Page: ^uint32(0)}}
+	lines := []int{0, 1, mem.MaxLinesPerPage - 1}
+	seen := map[lineKey]bool{}
+	for _, g := range pages {
+		for _, ln := range lines {
+			k := keyOf(g, ln)
+			if k.page() != g || k.line() != ln {
+				t.Errorf("keyOf(%v, %d) unpacks to %v, %d", g, ln, k.page(), k.line())
+			}
+			if seen[k] {
+				t.Errorf("keyOf(%v, %d) = %#x collides", g, ln, uint64(k))
+			}
+			seen[k] = true
+		}
+	}
+}
+
 func TestHeldTrafficQueuesAndReleases(t *testing.T) {
 	c, e := mkCtrl(t)
 	g := mem.GPage{Seg: 1, Page: 5}

@@ -113,10 +113,22 @@ type Stats struct {
 // Reset zeroes the counters.
 func (s *Stats) Reset() { *s = Stats{} }
 
-type lineKey struct {
-	page mem.GPage
-	line int
+// lineKey is a line's identity packed into one integer, so the
+// controller's per-line maps hash it on the runtime's 64-bit fast path:
+// segment in bits 48-63, page in bits 16-47, line in bits 0-15.
+// mem.Geometry.Validate bounds a page to mem.MaxLinesPerPage (1<<16)
+// lines, so two lines never share a key.
+type lineKey uint64
+
+func keyOf(g mem.GPage, line int) lineKey {
+	return lineKey(uint64(g.Seg)<<48 | uint64(g.Page)<<16 | uint64(line))
 }
+
+// pageKey keys the per-page maps: the key of the page's line 0.
+func pageKey(g mem.GPage) lineKey { return keyOf(g, 0) }
+
+func (k lineKey) page() mem.GPage { return mem.GPage{Seg: mem.GSID(k >> 48), Page: uint32(k >> 16)} }
+func (k lineKey) line() int       { return int(k & 0xffff) }
 
 // clientTxn is an outstanding client-side transaction for one line.
 type clientTxn struct {
@@ -236,7 +248,7 @@ type Controller struct {
 	// drive migration policies (§3.5). All allocated lazily.
 	migratedTo  map[mem.GPage]mem.NodeID
 	held        map[mem.GPage][]func()
-	pageTraffic map[mem.GPage][]uint32
+	pageTraffic map[lineKey][]uint32 // by pageKey
 
 	// refetchThreshold/onRefetch implement the R-NUMA-style reuse
 	// detector used by the bidirectional Dyn-Both policy: when a
@@ -404,7 +416,7 @@ func (c *Controller) putInts(s []int) {
 // Transit), fr is queued and fr.Retry runs after completion instead;
 // exactly one of Fill or Retry is eventually invoked.
 func (c *Controller) ClientFetch(at sim.Time, f mem.FrameID, ln int, write bool, ent *pit.Entry, fr Filler) {
-	key := lineKey{ent.GPage, ln}
+	key := keyOf(ent.GPage, ln)
 	if txn, ok := c.client[key]; ok {
 		txn.waiters = append(txn.waiters, fr)
 		return
@@ -431,7 +443,7 @@ func (c *Controller) ClientFetch(at sim.Time, f mem.FrameID, ln int, write bool,
 
 // handleData completes a client transaction.
 func (c *Controller) handleData(src mem.NodeID, m *DataMsg) {
-	key := lineKey{m.Page, m.Line}
+	key := keyOf(m.Page, m.Line)
 	txn, ok := c.client[key]
 	if !ok {
 		panic(fmt.Sprintf("coherence: node %d: data for %v line %d without transaction (from=%d excl=%v withData=%v fault=%v reqFrame=%d t=%d)",

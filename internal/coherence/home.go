@@ -186,7 +186,7 @@ func (c *Controller) handleGet(src mem.NodeID, m GetMsg, requeued bool) {
 		return
 	}
 
-	key := lineKey{m.Page, m.Line}
+	key := keyOf(m.Page, m.Line)
 	if c.home[key] != nil {
 		c.homeQ[key] = append(c.homeQ[key], m)
 		return
@@ -471,19 +471,19 @@ func (c *Controller) awaitGrantAck(key lineKey) {
 // handleGrantAck unlocks a line whose grant has been consumed.
 func (c *Controller) handleGrantAck(src mem.NodeID, m *GrantAckMsg) {
 	c.ctrlBusy(c.e.Now(), c.tm.CtrlIn/4)
-	c.ack(lineKey{m.Page, m.Line})
+	c.ack(keyOf(m.Page, m.Line))
 }
 
 // handleInvAck counts an invalidation acknowledgement.
 func (c *Controller) handleInvAck(src mem.NodeID, m *InvAckMsg) {
 	c.ctrlBusy(c.e.Now(), c.tm.CtrlIn)
-	c.ack(lineKey{m.Page, m.Line})
+	c.ack(keyOf(m.Page, m.Line))
 }
 
 // handleRecallResp resumes the transaction waiting on a recall.
 func (c *Controller) handleRecallResp(src mem.NodeID, m *RecallRespMsg) {
 	c.ctrlBusy(c.e.Now(), c.tm.CtrlIn)
-	key := lineKey{m.Page, m.Line}
+	key := keyOf(m.Page, m.Line)
 	txn := c.home[key]
 	if txn == nil || !txn.recall {
 		return // transaction superseded by a page drop

@@ -21,7 +21,7 @@ import (
 // exporting the directory.
 func (c *Controller) PageQuiescent(g mem.GPage) bool {
 	for ln := 0; ln < c.geom.LinesPerPage(); ln++ {
-		key := lineKey{g, ln}
+		key := keyOf(g, ln)
 		if c.home[key] != nil || len(c.homeQ[key]) > 0 {
 			return false
 		}
@@ -45,7 +45,7 @@ func (c *Controller) MigrateOut(g mem.GPage, dst mem.NodeID) []directory.Line {
 		c.migratedTo = make(map[mem.GPage]mem.NodeID)
 	}
 	c.migratedTo[g] = dst
-	delete(c.pageTraffic, g)
+	delete(c.pageTraffic, pageKey(g))
 	// Hold home-role traffic for the page until the migration commits:
 	// forwarding before the new home has adopted the directory would
 	// ping-pong requests between the two nodes.
@@ -93,12 +93,13 @@ func (c *Controller) forwardTarget(g mem.GPage) (mem.NodeID, bool) {
 // recordTraffic counts one home-side request from src against page g.
 func (c *Controller) recordTraffic(g mem.GPage, src mem.NodeID) {
 	if c.pageTraffic == nil {
-		c.pageTraffic = make(map[mem.GPage][]uint32)
+		c.pageTraffic = make(map[lineKey][]uint32)
 	}
-	t := c.pageTraffic[g]
+	k := pageKey(g)
+	t := c.pageTraffic[k]
 	if t == nil {
 		t = make([]uint32, c.net.Nodes())
-		c.pageTraffic[g] = t
+		c.pageTraffic[k] = t
 	}
 	t[src]++
 }
@@ -114,8 +115,8 @@ type PageTraffic struct {
 // minTotal, hottest first (deterministic order).
 func (c *Controller) HotPages(minTotal uint64) []PageTraffic {
 	var out []PageTraffic
-	for g, t := range c.pageTraffic {
-		pt := PageTraffic{Page: g, ByNode: t}
+	for k, t := range c.pageTraffic {
+		pt := PageTraffic{Page: k.page(), ByNode: t}
 		for n, v := range t {
 			if mem.NodeID(n) != c.node {
 				pt.Total += uint64(v)

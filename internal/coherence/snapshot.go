@@ -150,14 +150,16 @@ func (c *Controller) ExportState() ControllerState {
 	sort.Slice(s.MigratedTo, func(i, j int) bool {
 		return gpLess(s.MigratedTo[i].Seg, s.MigratedTo[i].Page, s.MigratedTo[j].Seg, s.MigratedTo[j].Page)
 	})
-	for g, counts := range c.pageTraffic {
+	for k, counts := range c.pageTraffic {
+		g := k.page()
 		s.PageTraffic = append(s.PageTraffic, PageTrafficState{Seg: g.Seg, Page: g.Page, Counts: append([]uint32(nil), counts...)})
 	}
 	sort.Slice(s.PageTraffic, func(i, j int) bool {
 		return gpLess(s.PageTraffic[i].Seg, s.PageTraffic[i].Page, s.PageTraffic[j].Seg, s.PageTraffic[j].Page)
 	})
 	for k, l := range c.hwLocks {
-		s.HWLocks = append(s.HWLocks, HWLockState{Seg: k.page.Seg, Page: k.page.Page, Line: k.line, Held: l.held, Holder: l.holder})
+		g := k.page()
+		s.HWLocks = append(s.HWLocks, HWLockState{Seg: g.Seg, Page: g.Page, Line: k.line(), Held: l.held, Holder: l.holder})
 	}
 	sort.Slice(s.HWLocks, func(i, j int) bool {
 		a, b := s.HWLocks[i], s.HWLocks[j]
@@ -170,7 +172,8 @@ func (c *Controller) ExportState() ControllerState {
 		return a.Line < b.Line
 	})
 	for k, t := range c.home {
-		s.HomeTails = append(s.HomeTails, HomeTailState{Seg: k.page.Seg, Page: k.page.Page, Line: k.line, NeedAcks: t.needAcks})
+		g := k.page()
+		s.HomeTails = append(s.HomeTails, HomeTailState{Seg: g.Seg, Page: g.Page, Line: k.line(), NeedAcks: t.needAcks})
 	}
 	sort.Slice(s.HomeTails, func(i, j int) bool {
 		a, b := s.HomeTails[i], s.HomeTails[j]
@@ -194,7 +197,7 @@ func (c *Controller) ImportState(s ControllerState) {
 	c.client = make(map[lineKey]*clientTxn)
 	c.home = make(map[lineKey]*homeTxn)
 	for _, t := range s.HomeTails {
-		c.home[lineKey{page: mem.GPage{Seg: t.Seg, Page: t.Page}, line: t.Line}] = &homeTxn{needAcks: t.NeedAcks}
+		c.home[keyOf(mem.GPage{Seg: t.Seg, Page: t.Page}, t.Line)] = &homeTxn{needAcks: t.NeedAcks}
 	}
 	c.homeQ = make(map[lineKey][]GetMsg)
 	c.flushWait = make(map[uint64]func(at sim.Time))
@@ -217,16 +220,16 @@ func (c *Controller) ImportState(s ControllerState) {
 	}
 	c.pageTraffic = nil
 	if len(s.PageTraffic) > 0 {
-		c.pageTraffic = make(map[mem.GPage][]uint32, len(s.PageTraffic))
+		c.pageTraffic = make(map[lineKey][]uint32, len(s.PageTraffic))
 		for _, e := range s.PageTraffic {
-			c.pageTraffic[mem.GPage{Seg: e.Seg, Page: e.Page}] = append([]uint32(nil), e.Counts...)
+			c.pageTraffic[pageKey(mem.GPage{Seg: e.Seg, Page: e.Page})] = append([]uint32(nil), e.Counts...)
 		}
 	}
 	c.hwLocks = nil
 	if len(s.HWLocks) > 0 {
 		c.hwLocks = make(map[lineKey]*hwLock, len(s.HWLocks))
 		for _, e := range s.HWLocks {
-			c.hwLocks[lineKey{page: mem.GPage{Seg: e.Seg, Page: e.Page}, line: e.Line}] = &hwLock{held: e.Held, holder: e.Holder}
+			c.hwLocks[keyOf(mem.GPage{Seg: e.Seg, Page: e.Page}, e.Line)] = &hwLock{held: e.Held, holder: e.Holder}
 		}
 	}
 }

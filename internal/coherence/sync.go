@@ -76,7 +76,7 @@ func (c *Controller) LockAcquire(at sim.Time, f mem.FrameID, ln int, ent *pit.En
 	if ent.Mode != pit.ModeSync {
 		panic(fmt.Sprintf("coherence: node %d: LockAcquire on %v frame", c.node, ent.Mode))
 	}
-	key := lineKey{ent.GPage, ln}
+	key := keyOf(ent.GPage, ln)
 	if c.lockWait == nil {
 		c.lockWait = make(map[lineKey][]pendingAcquire)
 	}
@@ -111,7 +111,7 @@ func (c *Controller) handleLockReq(src mem.NodeID, m *LockReqMsg) {
 	if c.hwLocks == nil {
 		c.hwLocks = make(map[lineKey]*hwLock)
 	}
-	key := lineKey{m.Page, m.Line}
+	key := keyOf(m.Page, m.Line)
 	l := c.hwLocks[key]
 	if l == nil {
 		l = &hwLock{}
@@ -135,7 +135,7 @@ func (c *Controller) handleLockReq(src mem.NodeID, m *LockReqMsg) {
 // handleUnlock is the home side of a release: hand off or free.
 func (c *Controller) handleUnlock(src mem.NodeID, m *UnlockMsg) {
 	t := c.ctrlBusy(c.e.Now(), c.tm.CtrlIn)
-	key := lineKey{m.Page, m.Line}
+	key := keyOf(m.Page, m.Line)
 	l := c.hwLocks[key]
 	if l == nil || !l.held || l.holder != m.From {
 		panic(fmt.Sprintf("coherence: node %d: unlock of %v:%d by non-holder %d", c.node, m.Page, m.Line, m.From))
@@ -158,7 +158,7 @@ func (c *Controller) handleUnlock(src mem.NodeID, m *UnlockMsg) {
 // handleLockGrant completes the oldest pending acquire for the line.
 func (c *Controller) handleLockGrant(src mem.NodeID, m *LockGrantMsg) {
 	t := c.ctrlBusy(c.e.Now(), c.tm.CtrlIn)
-	key := lineKey{m.Page, m.Line}
+	key := keyOf(m.Page, m.Line)
 	q := c.lockWait[key]
 	if len(q) == 0 {
 		panic(fmt.Sprintf("coherence: node %d: unexpected lock grant for %v:%d", c.node, m.Page, m.Line))

@@ -460,6 +460,13 @@ func (h *replayHook) BarrierFill(p *node.Proc, id int) {
 // snapshot state is imported wholesale. Follow with Resume to continue
 // the run.
 func (m *Machine) RestoreSnapshot(w Workload, snap *MachineSnapshot) error {
+	// A restore that fails or panics leaves no coroutine parked; one
+	// that succeeds leaves them parked for Resume.
+	defer func() {
+		if !m.ckptRestored {
+			m.stopProcs()
+		}
+	}()
 	if len(m.Nodes) != snap.NumNodes || len(m.Procs) != snap.NumProcs {
 		return fmt.Errorf("core: snapshot is for %d nodes / %d procs, machine has %d / %d",
 			snap.NumNodes, snap.NumProcs, len(m.Nodes), len(m.Procs))
@@ -638,6 +645,7 @@ func (m *Machine) Resume(w Workload) (Results, error) {
 		return Results{}, fmt.Errorf("core: Resume without RestoreSnapshot")
 	}
 	m.ckptRestored = false
+	defer m.stopProcs()
 	trig := m.Procs[m.ckptTrigger]
 	if !trig.Coro().Done() {
 		trig.Coro().Step()

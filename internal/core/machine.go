@@ -388,6 +388,7 @@ func (m *Machine) ExportMetrics(workload, policyName string) *metrics.Export {
 // The simulation is deterministic: identical configs and workloads
 // produce identical results.
 func (m *Machine) Run(w Workload) (Results, error) {
+	defer m.stopProcs()
 	if err := w.Setup(m); err != nil {
 		return Results{}, fmt.Errorf("core: %s setup: %w", w.Name(), err)
 	}
@@ -417,6 +418,15 @@ func (m *Machine) Run(w Workload) (Results, error) {
 		m.phaseEnd = m.maxProcTime()
 	}
 	return m.collect(w), nil
+}
+
+// stopProcs stops every processor coroutine still parked, so a run
+// that panicked or deadlocked releases their goroutines, and with them
+// the machine, instead of leaving them parked for good.
+func (m *Machine) stopProcs() {
+	for _, p := range m.Procs {
+		p.Coro().Stop()
+	}
 }
 
 func (m *Machine) maxProcTime() sim.Time {

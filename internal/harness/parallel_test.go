@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"reflect"
 	"regexp"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -155,6 +156,32 @@ func TestCellPanicIsCellError(t *testing.T) {
 	}
 	if msg := err.Error(); !strings.HasPrefix(msg, "fft/SCOMA: network: ") || !strings.Contains(msg, "retry cap") {
 		t.Fatalf("error %q does not name the cell and the retry cap", msg)
+	}
+}
+
+// TestFailedCellsReleaseGoroutines: a cell that panics stops its
+// machine's processor coroutines, so failing cells leave no goroutine
+// (and no machine) behind.
+func TestFailedCellsReleaseGoroutines(t *testing.T) {
+	plan, err := fault.ParseSpec("seed=1,drop=0.9,retry=2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{
+		Size:     workloads.MiniSize,
+		Apps:     []string{"fft"},
+		Policies: []string{"SCOMA"},
+		Workers:  1,
+		Faults:   plan,
+	}
+	base := runtime.NumGoroutine()
+	for i := 0; i < 5; i++ {
+		if _, err := Run(opts); err == nil {
+			t.Fatal("cell over a fabric dropping 90 percent of messages with retry cap 2 succeeded")
+		}
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("%d goroutines after five failed cells, %d before", n, base)
 	}
 }
 

@@ -40,8 +40,16 @@ func (g Geometry) Validate() error {
 	if g.PageSize%g.LineSize != 0 {
 		return fmt.Errorf("mem: page size %d not a multiple of line size %d", g.PageSize, g.LineSize)
 	}
+	if g.PageSize/g.LineSize > MaxLinesPerPage {
+		return fmt.Errorf("mem: %d lines per page exceeds %d", g.PageSize/g.LineSize, MaxLinesPerPage)
+	}
 	return nil
 }
+
+// MaxLinesPerPage bounds PageSize/LineSize, so a line's index within
+// its page fits in 16 bits: the coherence controller packs (segment,
+// page, line) into one 64-bit map key.
+const MaxLinesPerPage = 1 << 16
 
 // LinesPerPage returns the number of cache lines in one page.
 func (g Geometry) LinesPerPage() int { return g.PageSize / g.LineSize }

@@ -17,6 +17,8 @@ func TestGeometryValidate(t *testing.T) {
 		{Geometry{4096, 48}, false},
 		{Geometry{3000, 64}, false},
 		{Geometry{64, 128}, false}, // page smaller than line
+		{Geometry{1 << 16, 1}, true},
+		{Geometry{1 << 17, 1}, false}, // more lines than a packed key holds
 	}
 	for _, c := range cases {
 		if err := c.g.Validate(); (err == nil) != c.ok {

@@ -336,8 +336,10 @@ func (s *Server) runJob(job *Job) {
 	// sees the job done, an identical resubmission is a cache hit, not
 	// a dedup onto this finished job.
 	s.removeInflight(job)
-	job.complete(res, false)
+	// Count the job before publishing it, so a client that sees it done
+	// also sees it in jobs_completed.
 	s.completed.Add(1)
+	job.complete(res, false)
 	s.logf("job %s done (%d cells)", job.ID, strings.Count(string(res.CSV), "\n")-1)
 }
 

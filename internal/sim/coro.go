@@ -23,6 +23,7 @@ import "iter"
 // in the caller's goroutine.
 type Coro struct {
 	next  func() (struct{}, bool)
+	stop  func()
 	yield func(struct{}) bool
 	done  bool
 
@@ -39,7 +40,7 @@ func NewCoro(label string) *Coro {
 // executing until the first Step. When body returns (or panics), the
 // coroutine is marked done and control passes back to the engine.
 func (c *Coro) Start(body func()) {
-	c.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+	c.next, c.stop = iter.Pull(func(yield func(struct{}) bool) {
 		c.yield = yield
 		defer func() { c.done = true }()
 		body()
@@ -66,7 +67,33 @@ func (c *Coro) Step() bool {
 // calls it); otherwise the simulation deadlocks, which the engine
 // reports as a drained event queue with live coroutines.
 func (c *Coro) Block() {
-	c.yield(struct{}{})
+	if !c.yield(struct{}{}) {
+		panic(stopped{})
+	}
+}
+
+// stopped is the panic value that unwinds a stopped coroutine's body
+// out of Block; Stop recovers it and nothing else.
+type stopped struct{}
+
+// Stop ends a started coroutine that has not finished, releasing its
+// goroutine: a body parked in Block unwinds from there without running
+// further, and one that never ran never starts. Done reports true
+// afterwards. Stop is a no-op before Start and after the body
+// finishes. A run that fails part-way stops its processors this way;
+// otherwise each one would stay parked for the life of the process.
+// Like Step, it must only be called from engine context.
+func (c *Coro) Stop() {
+	if c.stop == nil || c.done {
+		return
+	}
+	defer func() {
+		c.done = true
+		if r := recover(); r != nil && r != (stopped{}) {
+			panic(r)
+		}
+	}()
+	c.stop()
 }
 
 // Done reports whether the coroutine's body has returned.

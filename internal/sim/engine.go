@@ -21,18 +21,22 @@
 // per worker. Run detects concurrent entry from a second goroutine and
 // panics rather than corrupting the event queue.
 //
-// Host-time performance: the queue is a hand-specialized 4-ary min-heap
-// over a plain []event — no container/heap, no interface{} boxing, no
-// per-operation allocation. Besides the classic closure event (At/
-// Schedule), the engine offers three allocation-free scheduling paths
-// for the dispatch shapes that dominate PRISM runs: step-a-coroutine
-// (StepAt/ScheduleStep), a pre-existing EventHandler object (AtEvent/
-// ScheduleEvent) and a timed callback func(Time) (CallAt/ScheduleCall).
-// See DESIGN.md "Engine internals".
+// Host-time performance: an event due less than wheelSize cycles after
+// now goes into a timing wheel of one-cycle FIFO slots, found through
+// an occupancy bitmap, so scheduling and dispatching it take constant
+// time; later events, and events a snapshot restore re-inserts, wait in
+// a 4-ary min-heap, and Run takes whichever head is earlier by
+// (time, seq). Every event carries one EventHandler word: the
+// coroutine-step (StepAt/ScheduleStep), timed-callback (CallAt/
+// ScheduleCall) and closure (At/Schedule) paths store their payload
+// through pointer-shaped adapter types that convert without
+// allocating, and a pre-existing object (AtEvent/ScheduleEvent) is
+// stored as is. See DESIGN.md "Engine internals".
 package sim
 
 import (
 	"fmt"
+	"math/bits"
 	"sync/atomic"
 )
 
@@ -51,17 +55,25 @@ type EventHandler interface {
 	OnEvent(now Time)
 }
 
-// event is one queued entry. Exactly one of the payload fields is set;
-// dispatch order is coro, handler, call, fn. All payloads are stored
-// inline in the heap slice, so scheduling never allocates beyond
-// amortized slice growth (and the closure itself for the fn path).
+// The adapters below carry the other scheduling paths' payloads in the
+// event's one handler word. Each is pointer-shaped (a pointer or a func
+// value), so converting one to EventHandler does not allocate, and
+// ForEachEvent tells them apart by type.
+type (
+	coroStep  Coro       // step the coroutine
+	callEvent func(Time) // call with the fire time
+	funcEvent func()     // call
+)
+
+func (c *coroStep) OnEvent(Time)     { (*Coro)(c).Step() }
+func (f callEvent) OnEvent(now Time) { f(now) }
+func (f funcEvent) OnEvent(Time)     { f() }
+
+// event is one queued entry.
 type event struct {
-	at      Time
-	seq     uint64
-	coro    *Coro        // step this coroutine
-	handler EventHandler // invoke OnEvent(at)
-	call    func(Time)   // invoke call(at)
-	fn      func()       // invoke fn()
+	at  Time
+	seq uint64
+	h   EventHandler
 }
 
 // before is the queue's total order: (time, sequence number).
@@ -72,22 +84,55 @@ func (e *event) before(o *event) bool {
 	return e.seq < o.seq
 }
 
+// wheelSize is the timing wheel's horizon in cycles, one slot per
+// cycle. It must be a power of two (a slot is at&wheelMask) and a
+// multiple of 64 (the occupancy bitmap's word). Nearly every event a
+// fault-free machine schedules falls well within it (a network hop is
+// 120 cycles), so only a sliver of events reach the heap.
+const wheelSize = 4096
+
+const wheelMask = wheelSize - 1
+
+// wheelNode is one wheel event, linked into its slot's FIFO or, once
+// dispatched, into the free list.
+type wheelNode struct {
+	ev   event
+	next int32 // index in Engine.nodes; 0 ends the list
+}
+
+// slot is one wheel slot's FIFO, valid while its occupancy bit is set.
+type slot struct {
+	head, tail int32
+}
+
 // Engine is the discrete-event simulator core. The zero value is not
 // usable; create one with NewEngine.
 type Engine struct {
-	now    Time
-	seq    uint64
-	events []event // 4-ary min-heap ordered by (at, seq)
+	now Time
+	seq uint64
+
+	// The wheel holds every event pushed with at-now < wheelSize, so
+	// all of them lie in [now, now+wheelSize) and slot at&wheelMask
+	// holds events of one time only. A push appends to its slot with a
+	// sequence number above every queued one, so each slot is in seq
+	// order and its head is the slot's minimum.
+	occ    [wheelSize / 64]uint64 // bit s set: slot s is non-empty
+	slots  [wheelSize]slot
+	nodes  []wheelNode // node slab; nodes[0] is unused so 0 means none
+	free   int32       // head of the free-node list
+	wheelN int
+
+	far []event // 4-ary min-heap by (at, seq): far-future and restored events
 
 	// running guards Run: set while processing events, checked
 	// atomically so that reentrant *and* cross-goroutine misuse
-	// fails deterministically instead of racing on the heap.
+	// fails deterministically instead of racing on the queue.
 	running atomic.Bool
 }
 
 // NewEngine returns an engine at time zero with an empty event queue.
 func NewEngine() *Engine {
-	return &Engine{}
+	return &Engine{nodes: make([]wheelNode, 1, 64)}
 }
 
 // Now returns the current simulated time.
@@ -96,37 +141,37 @@ func (e *Engine) Now() Time { return e.now }
 // Schedule arranges for fn to run at now+delay. Events scheduled for
 // the same instant run in scheduling order.
 func (e *Engine) Schedule(delay Time, fn func()) {
-	e.push(e.now+delay, event{fn: fn})
+	e.push(e.now+delay, funcEvent(fn))
 }
 
 // At arranges for fn to run at absolute time t. Scheduling in the past
 // panics: it would silently corrupt causality.
 func (e *Engine) At(t Time, fn func()) {
-	e.push(t, event{fn: fn})
+	e.push(t, funcEvent(fn))
 }
 
 // ScheduleStep arranges for c to be stepped at now+delay without
 // allocating a wake-up closure. It is the hot path behind WaitUntil
 // and Queue.WakeOne/WakeAll.
 func (e *Engine) ScheduleStep(delay Time, c *Coro) {
-	e.push(e.now+delay, event{coro: c})
+	e.push(e.now+delay, (*coroStep)(c))
 }
 
 // StepAt is the absolute-time variant of ScheduleStep.
 func (e *Engine) StepAt(t Time, c *Coro) {
-	e.push(t, event{coro: c})
+	e.push(t, (*coroStep)(c))
 }
 
 // ScheduleEvent arranges for h.OnEvent to run at now+delay. h is
 // typically a long-lived (pooled or embedded) model object, so the
 // schedule allocates nothing.
 func (e *Engine) ScheduleEvent(delay Time, h EventHandler) {
-	e.push(e.now+delay, event{handler: h})
+	e.push(e.now+delay, h)
 }
 
 // AtEvent is the absolute-time variant of ScheduleEvent.
 func (e *Engine) AtEvent(t Time, h EventHandler) {
-	e.push(t, event{handler: h})
+	e.push(t, h)
 }
 
 // ScheduleCall arranges for fn(t) to run at t = now+delay. Passing an
@@ -134,37 +179,112 @@ func (e *Engine) AtEvent(t Time, h EventHandler) {
 // wrapping it in a fresh `func(){ fn(t) }` closure, nothing is
 // allocated.
 func (e *Engine) ScheduleCall(delay Time, fn func(Time)) {
-	e.push(e.now+delay, event{call: fn})
+	e.push(e.now+delay, callEvent(fn))
 }
 
 // CallAt is the absolute-time variant of ScheduleCall.
 func (e *Engine) CallAt(t Time, fn func(Time)) {
-	e.push(t, event{call: fn})
+	e.push(t, callEvent(fn))
 }
 
 // Pending returns the number of queued events.
-func (e *Engine) Pending() int { return len(e.events) }
+func (e *Engine) Pending() int { return e.wheelN + len(e.far) }
 
-// arity is the heap's branching factor. A 4-ary heap trades slightly
-// more comparisons per sift-down for half the tree depth of a binary
-// heap — fewer cache-missing levels on the sift paths that dominate
-// pop — and keeps the four children of a node in two cache lines.
-const arity = 4
-
-// push inserts ev at time t, assigning the next sequence number.
-func (e *Engine) push(t Time, ev event) {
+// push queues h at time t, assigning the next sequence number.
+func (e *Engine) push(t Time, h EventHandler) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: event scheduled at %d, before now=%d", t, e.now))
 	}
 	e.seq++
-	ev.at = t
-	ev.seq = e.seq
-	e.insert(ev)
+	if t-e.now >= wheelSize {
+		e.insert(event{at: t, seq: e.seq, h: h})
+		return
+	}
+	i := e.free
+	if i != 0 {
+		e.free = e.nodes[i].next
+	} else {
+		i = int32(len(e.nodes))
+		e.nodes = append(e.nodes, wheelNode{})
+	}
+	e.nodes[i] = wheelNode{ev: event{at: t, seq: e.seq, h: h}}
+	s := int(t & wheelMask)
+	if e.occ[s>>6]&(1<<(s&63)) != 0 {
+		e.nodes[e.slots[s].tail].next = i
+		e.slots[s].tail = i
+	} else {
+		e.occ[s>>6] |= 1 << (s & 63)
+		e.slots[s] = slot{head: i, tail: i}
+	}
+	e.wheelN++
 }
 
-// insert adds a fully stamped event to the heap.
+// nextSlot returns the wheel's earliest occupied slot: the first set
+// occupancy bit at or after now's slot, wrapping around. The wheel must
+// not be empty.
+func (e *Engine) nextSlot() int {
+	s := int(e.now & wheelMask)
+	w := s >> 6
+	if b := e.occ[w] >> (s & 63); b != 0 {
+		return s + bits.TrailingZeros64(b)
+	}
+	for i := 1; i <= len(e.occ); i++ {
+		j := (w + i) & (len(e.occ) - 1)
+		if b := e.occ[j]; b != 0 {
+			return j<<6 | bits.TrailingZeros64(b)
+		}
+	}
+	panic("sim: wheel count and occupancy disagree")
+}
+
+// head returns the earliest queued event, or nil when the queue is
+// empty, and the wheel slot holding it, or -1 for the far heap's root.
+// A far event due at the same time as the wheel's head wins only with
+// the smaller seq.
+func (e *Engine) head() (*event, int) {
+	if e.wheelN == 0 {
+		if len(e.far) == 0 {
+			return nil, -1
+		}
+		return &e.far[0], -1
+	}
+	s := e.nextSlot()
+	w := &e.nodes[e.slots[s].head].ev
+	if len(e.far) > 0 && e.far[0].before(w) {
+		return &e.far[0], -1
+	}
+	return w, s
+}
+
+// take removes and returns the event head reported with slot s.
+func (e *Engine) take(s int) event {
+	if s < 0 {
+		return e.popFar()
+	}
+	sl := &e.slots[s]
+	i := sl.head
+	n := &e.nodes[i]
+	ev := n.ev
+	if n.next == 0 {
+		e.occ[s>>6] &^= 1 << (s & 63)
+	} else {
+		sl.head = n.next
+	}
+	*n = wheelNode{next: e.free} // release the handler reference
+	e.free = i
+	e.wheelN--
+	return ev
+}
+
+// arity is the far heap's branching factor. A 4-ary heap trades
+// slightly more comparisons per sift-down for half the tree depth of a
+// binary heap, and keeps the four children of a node in two cache
+// lines.
+const arity = 4
+
+// insert adds a fully stamped event to the far heap.
 func (e *Engine) insert(ev event) {
-	h := append(e.events, event{})
+	h := append(e.far, event{})
 	// Sift up with a hole: parents move down until ev's slot is found,
 	// so ev is written exactly once.
 	i := len(h) - 1
@@ -177,19 +297,19 @@ func (e *Engine) insert(ev event) {
 		i = p
 	}
 	h[i] = ev
-	e.events = h
+	e.far = h
 }
 
-// pop removes and returns the minimum event. The queue must not be
-// empty.
-func (e *Engine) pop() event {
-	h := e.events
+// popFar removes and returns the far heap's minimum event. The heap
+// must not be empty.
+func (e *Engine) popFar() event {
+	h := e.far
 	min := h[0]
 	n := len(h) - 1
 	last := h[n]
-	h[n] = event{} // release closure/handler references
+	h[n] = event{} // release the handler reference
 	h = h[:n]
-	e.events = h
+	e.far = h
 	if n == 0 {
 		return min
 	}
@@ -224,20 +344,6 @@ func (e *Engine) pop() event {
 // two places at once: reentrant Run, or Run from a second goroutine.
 const engineMisuseMsg = "sim: Engine.Run entered twice (reentrant or concurrent use; one engine per goroutine)"
 
-// dispatch executes one popped event with the clock already advanced.
-func (e *Engine) dispatch(ev *event) {
-	switch {
-	case ev.coro != nil:
-		ev.coro.Step()
-	case ev.handler != nil:
-		ev.handler.OnEvent(ev.at)
-	case ev.call != nil:
-		ev.call(ev.at)
-	default:
-		ev.fn()
-	}
-}
-
 // Run processes events in time order until the queue drains or the
 // clock would pass limit. It returns the number of events processed.
 // Run is not reentrant and must not be invoked on the same engine from
@@ -250,13 +356,14 @@ func (e *Engine) Run(limit Time) int {
 	defer e.running.Store(false)
 
 	n := 0
-	for len(e.events) > 0 {
-		if e.events[0].at > limit {
+	for {
+		p, s := e.head()
+		if p == nil || p.at > limit {
 			break
 		}
-		ev := e.pop()
+		ev := e.take(s)
 		e.now = ev.at
-		e.dispatch(&ev)
+		ev.h.OnEvent(ev.at)
 		n++
 	}
 	return n

@@ -14,8 +14,8 @@ type refKey struct {
 }
 
 // refHeap is a container/heap reference implementation with the exact
-// (time, seq) order the engine promises — the oracle the specialized
-// 4-ary heap is differentially tested against.
+// (time, seq) order the engine promises — the oracle the engine's
+// timing wheel and far heap are differentially tested against.
 type refHeap []refKey
 
 func (h refHeap) Len() int { return len(h) }
@@ -35,9 +35,18 @@ func (h *refHeap) Pop() interface{} {
 	return e
 }
 
+// pop removes and returns the engine's earliest event without
+// dispatching it or advancing the clock.
+func (e *Engine) pop() event {
+	_, s := e.head()
+	return e.take(s)
+}
+
 // TestHeapDifferentialRandom drives the engine's push/pop directly
 // against the container/heap reference with randomized interleaved
-// pushes and pops, including deliberate same-instant bursts.
+// pushes and pops, including deliberate same-instant bursts. A quarter
+// of the pushes straddle the wheel's horizon, so both the wheel and
+// the far heap hold events.
 func TestHeapDifferentialRandom(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -47,10 +56,13 @@ func TestHeapDifferentialRandom(t *testing.T) {
 
 		for op := 0; op < 2000; op++ {
 			if r.Intn(3) > 0 || ref.Len() == 0 {
-				// Push. Small time range forces heavy same-instant
+				// Push. Small time ranges force heavy same-instant
 				// collisions so the seq tie-break is actually exercised.
 				at := Time(r.Intn(16))
-				e.push(at, event{fn: func() {}})
+				if r.Intn(4) == 0 {
+					at += wheelSize - 8
+				}
+				e.push(at, funcEvent(func() {}))
 				heap.Push(ref, refKey{at: at, seq: e.seq})
 			} else {
 				got := e.pop()

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -206,6 +207,53 @@ func TestCoroutineStepAcrossGoroutines(t *testing.T) {
 	}
 	if !c.Done() || len(trace) != 3 || trace[2] != 2 {
 		t.Fatalf("done=%v trace=%v", c.Done(), trace)
+	}
+}
+
+// TestCoroutineStop: Stop on a parked coroutine unwinds its body from
+// Block, so no code after the Block runs, marks it done and releases
+// its goroutine; a started coroutine that never ran ends without
+// running, and Stop is a no-op before Start and after the body returns.
+func TestCoroutineStop(t *testing.T) {
+	base := runtime.NumGoroutine()
+	e := NewEngine()
+
+	parked := NewCoro("parked")
+	after := false
+	parked.Start(func() {
+		parked.WaitUntil(e, 10)
+		after = true
+	})
+	if !parked.Step() {
+		t.Fatal("coroutine finished before its Block")
+	}
+	unstarted := NewCoro("unstarted")
+	ran := false
+	unstarted.Start(func() { ran = true })
+
+	parked.Stop()
+	unstarted.Stop()
+	if after || ran {
+		t.Fatalf("stopped bodies ran on: after Block %v, unstarted %v", after, ran)
+	}
+	if !parked.Done() || !unstarted.Done() {
+		t.Fatal("stopped coroutines not done")
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("%d goroutines after Stop, %d before the coroutines started", n, base)
+	}
+
+	// Before Start, Stop leaves the coroutine usable; after the body
+	// returns, it changes nothing.
+	c := NewCoro("late")
+	c.Stop()
+	c.Start(func() {})
+	if c.Done() || c.Step() || !c.Done() {
+		t.Fatal("Stop before Start disturbed the coroutine")
+	}
+	c.Stop()
+	if !c.Done() {
+		t.Fatal("Stop after the body returned changed Done")
 	}
 }
 
