@@ -21,13 +21,16 @@ func (m *Machine) CheckInvariants() error {
 		return err
 	}
 
-	// 1. No dangling transactions anywhere, and no kernel serving a
-	// stale software-TLB translation.
+	// 1. No dangling transactions anywhere, no kernel serving a stale
+	// software-TLB translation, and every kernel's client list exact.
 	for _, n := range m.Nodes {
 		if s := n.Ctrl.DebugState(); s != "" {
 			return fmt.Errorf("core: dangling transactions:\n%s", s)
 		}
 		if err := n.Kern.CheckTLB(); err != nil {
+			return err
+		}
+		if err := n.Kern.CheckClients(); err != nil {
 			return err
 		}
 	}

@@ -11,7 +11,6 @@ package kernel
 
 import (
 	"fmt"
-	"sort"
 
 	"prism/internal/coherence"
 	"prism/internal/ipc"
@@ -118,9 +117,14 @@ type attachInfo struct {
 }
 
 type frameBinding struct {
-	vp     mem.VPage
-	page   mem.GPage
-	client bool // client (non-home) S-COMA frame — subject to the cap
+	frame mem.FrameID
+	vp    mem.VPage
+	page  mem.GPage
+	// client marks a client (non-home) S-COMA frame, subject to the
+	// cap; slot is then its index in Kernel.clients. Both change only
+	// through setClient.
+	client bool
+	slot   int
 	busy   bool // page-out in progress
 }
 
@@ -171,9 +175,12 @@ type Kernel struct {
 	nextImag  mem.FrameID
 	realInUse int
 
-	clientSCOMA     int
 	clientSCOMAHigh int
 	frames          map[mem.FrameID]*frameBinding
+	// clients holds every binding with client set, densely and in no
+	// particular order: the page-out victim candidates, and its length
+	// is the client S-COMA frame count.
+	clients []*frameBinding
 
 	// Per-page client-side state.
 	pageMode      map[mem.GPage]pit.Mode // sticky mode (absent = S-COMA preferred)
@@ -205,10 +212,9 @@ type Kernel struct {
 	poolUnmapReq   pool.Free[HomeUnmapReq]
 	poolUnmapAck   pool.Free[HomeUnmapAck]
 
-	// Reused scratch buffers (contents valid until the next call of
-	// the method that fills them).
+	// Reused scratch buffer (contents valid until the next call of
+	// the method that fills it).
 	clientScratch []mem.NodeID
-	victimScratch []mem.FrameID
 
 	Stats Stats
 
@@ -343,8 +349,9 @@ func (k *Kernel) ptDelete(vp mem.VPage) {
 // bindFrame records frame f's binding using a pooled frameBinding.
 func (k *Kernel) bindFrame(f mem.FrameID, vp mem.VPage, g mem.GPage, client bool) *frameBinding {
 	fb := k.fbPool.Get()
-	fb.vp, fb.page, fb.client = vp, g, client
+	fb.frame, fb.vp, fb.page = f, vp, g
 	k.frames[f] = fb
+	k.setClient(fb, client)
 	return fb
 }
 
@@ -352,9 +359,34 @@ func (k *Kernel) bindFrame(f mem.FrameID, vp mem.VPage, g mem.GPage, client bool
 // still need the binding's fields must read them first (Put zeroes).
 func (k *Kernel) unbindFrame(f mem.FrameID) {
 	if fb := k.frames[f]; fb != nil {
+		k.setClient(fb, false)
 		delete(k.frames, f)
 		k.fbPool.Put(fb)
 	}
+}
+
+// setClient is the one place a binding joins or leaves the client
+// list: joining appends it, leaving moves the last entry into its slot.
+// It also keeps the client S-COMA high-water mark.
+func (k *Kernel) setClient(fb *frameBinding, client bool) {
+	if fb.client == client {
+		return
+	}
+	fb.client = client
+	if client {
+		fb.slot = len(k.clients)
+		k.clients = append(k.clients, fb)
+		if len(k.clients) > k.clientSCOMAHigh {
+			k.clientSCOMAHigh = len(k.clients)
+		}
+		return
+	}
+	last := len(k.clients) - 1
+	moved := k.clients[last]
+	k.clients[fb.slot] = moved
+	moved.slot = fb.slot
+	k.clients[last] = nil
+	k.clients = k.clients[:last]
 }
 
 // GlobalPage translates a virtual page to its global page, if vp
@@ -619,10 +651,6 @@ func (k *Kernel) clientFault(vp mem.VPage, g mem.GPage, finish faultCont) {
 		}
 		if dec.Mode == pit.ModeSCOMA {
 			f = k.allocReal()
-			k.clientSCOMA++
-			if k.clientSCOMA > k.clientSCOMAHigh {
-				k.clientSCOMAHigh = k.clientSCOMA
-			}
 			k.bindFrame(f, vp, g, true)
 		} else {
 			f = k.allocImag()
@@ -712,7 +740,6 @@ func (k *Kernel) pageOutClient(f mem.FrameID, convert bool, done func(at sim.Tim
 			k.dbgPB(g, "pageout-done")
 			ent := k.ctrl.PIT.Remove(f)
 			k.unbindFrame(f)
-			k.clientSCOMA--
 			k.freeFrame(f, ent)
 			waiters := k.pageBusy[g]
 			delete(k.pageBusy, g)
@@ -764,63 +791,80 @@ func (k *Kernel) ReleaseLANUMA(f mem.FrameID, newMode pit.Mode, done func(at sim
 // ---------------------------------------------------------------------------
 
 // ClientSCOMAFrames implements policy.View.
-func (k *Kernel) ClientSCOMAFrames() int { return k.clientSCOMA }
+func (k *Kernel) ClientSCOMAFrames() int { return len(k.clients) }
 
 // PageCacheCap implements policy.View.
 func (k *Kernel) PageCacheCap() int { return k.cfg.PageCacheCap }
 
-// victimCandidates returns evictable client S-COMA frames in
-// deterministic order. The returned slice is a reused scratch buffer,
-// valid until the next call.
-func (k *Kernel) victimCandidates() []mem.FrameID {
-	out := k.victimScratch[:0]
-	for f, fb := range k.frames {
-		if !fb.client || fb.busy {
-			continue
-		}
-		ent := k.ctrl.PIT.Entry(f)
-		if ent == nil || ent.Mode != pit.ModeSCOMA || ent.InTransit() {
-			continue
-		}
-		out = append(out, f)
+// evictable reports whether client binding fb may be paged out now:
+// no page-out already under way, and an S-COMA PIT entry with no line
+// in Transit. It returns the entry.
+func (k *Kernel) evictable(fb *frameBinding) (*pit.Entry, bool) {
+	if fb.busy {
+		return nil, false
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	k.victimScratch = out
-	return out
+	ent := k.ctrl.PIT.Entry(fb.frame)
+	return ent, ent != nil && ent.Mode == pit.ModeSCOMA && !ent.InTransit()
 }
 
 // LRUVictim implements policy.View: least-recently-used by local bus
-// accesses to the frame.
+// accesses to the frame, the lowest frame number among equals. One
+// pass over the client list.
 func (k *Kernel) LRUVictim() (mem.FrameID, bool) {
-	cands := k.victimCandidates()
-	if len(cands) == 0 {
-		return 0, false
-	}
-	best := cands[0]
-	bestT := k.ctrl.PIT.Entry(best).LastAccess
-	for _, f := range cands[1:] {
-		if t := k.ctrl.PIT.Entry(f).LastAccess; t < bestT {
-			best, bestT = f, t
+	var best mem.FrameID
+	var bestT sim.Time
+	found := false
+	for _, fb := range k.clients {
+		ent, ok := k.evictable(fb)
+		if !ok {
+			continue
+		}
+		if t := ent.LastAccess; !found || t < bestT || (t == bestT && fb.frame < best) {
+			best, bestT, found = fb.frame, t, true
 		}
 	}
-	return best, true
+	return best, found
 }
 
 // MostInvalidVictim implements policy.View: the frame with the most
-// fine-grain tags in Invalid state (a controller query).
+// fine-grain tags in Invalid state (a controller query), the lowest
+// frame number among equals. One pass over the client list.
 func (k *Kernel) MostInvalidVictim() (mem.FrameID, bool) {
-	cands := k.victimCandidates()
-	if len(cands) == 0 {
-		return 0, false
-	}
-	best := cands[0]
-	bestN := k.ctrl.PIT.Entry(best).InvalidLines()
-	for _, f := range cands[1:] {
-		if n := k.ctrl.PIT.Entry(f).InvalidLines(); n > bestN {
-			best, bestN = f, n
+	var best mem.FrameID
+	bestN := 0
+	found := false
+	for _, fb := range k.clients {
+		ent, ok := k.evictable(fb)
+		if !ok {
+			continue
+		}
+		if n := ent.InvalidLines(); !found || n > bestN || (n == bestN && fb.frame < best) {
+			best, bestN, found = fb.frame, n, true
 		}
 	}
-	return best, true
+	return best, found
+}
+
+// CheckClients verifies the client list: it holds exactly the frame
+// bindings with client set, each at its recorded slot. It is part of
+// the machine-wide invariant sweep, next to CheckTLB.
+func (k *Kernel) CheckClients() error {
+	for i, fb := range k.clients {
+		if fb.slot != i || !fb.client || k.frames[fb.frame] != fb {
+			return fmt.Errorf("kernel: node %d: client list slot %d holds frame %d (slot %d, client %v, bound %v)",
+				k.node, i, fb.frame, fb.slot, fb.client, k.frames[fb.frame] == fb)
+		}
+	}
+	n := 0
+	for _, fb := range k.frames {
+		if fb.client {
+			n++
+		}
+	}
+	if n != len(k.clients) {
+		return fmt.Errorf("kernel: node %d: %d client frames bound, client list holds %d", k.node, n, len(k.clients))
+	}
+	return nil
 }
 
 // ---------------------------------------------------------------------------

@@ -125,12 +125,8 @@ func (k *Kernel) demoteHome(g mem.GPage, to mem.NodeID, lines []directory.Line) 
 		ent.HomeFrameKnown = false
 		k.ctrl.SetClientTags(f, lines)
 		fb := k.frames[f]
-		fb.client = true
 		fb.vp = vp
-		k.clientSCOMA++
-		if k.clientSCOMA > k.clientSCOMAHigh {
-			k.clientSCOMAHigh = k.clientSCOMA
-		}
+		k.setClient(fb, true)
 		k.homeStatus[g] = true
 		k.dynHomeHint[g] = to
 		delete(k.homeFrameHint, g)
@@ -185,29 +181,25 @@ func (k *Kernel) promoteHome(g mem.GPage, lines []directory.Line) mem.FrameID {
 			ent.HomeFrame = old
 			ent.HomeFrameKnown = true
 			k.ctrl.SetHomeTags(old, lines)
-			fb := k.frames[old]
-			if fb.client {
-				fb.client = false
-				k.clientSCOMA--
-			}
+			k.setClient(k.frames[old], false)
 			k.dynPages[g] = old
 			k.dynHomeHint[g] = k.node
 			k.homeFrameHint[g] = old
 			return old
 		case pit.ModeLANUMA:
-			// Replace the imaginary frame with a real one. The old
-			// binding is recycled only after its vp is consumed below.
+			// Replace the imaginary frame with a real one, moving the
+			// old binding's vp over before it is recycled.
 			k.ctrl.Local().InvalidateFrameLines(old)
 			rent := k.ctrl.PIT.Remove(old)
 			fb := k.frames[old]
-			delete(k.frames, old)
 			k.freeFrame(old, rent)
 			f := k.newHomeFrame(g, lines)
 			if fb != nil {
-				k.ptSet(fb.vp, PTE{Frame: f, Mode: pit.ModeSCOMA})
-				k.hw.TLBShootdown(fb.vp)
-				k.frames[f].vp = fb.vp
-				k.fbPool.Put(fb)
+				vp := fb.vp
+				k.unbindFrame(old)
+				k.ptSet(vp, PTE{Frame: f, Mode: pit.ModeSCOMA})
+				k.hw.TLBShootdown(vp)
+				k.frames[f].vp = vp
 			}
 			return f
 		}

@@ -123,7 +123,7 @@ func (k *Kernel) ExportState() KernelState {
 		NextReal:        k.nextReal,
 		NextImag:        k.nextImag,
 		RealInUse:       k.realInUse,
-		ClientSCOMA:     k.clientSCOMA,
+		ClientSCOMA:     len(k.clients),
 		ClientSCOMAHigh: k.clientSCOMAHigh,
 		Stats:           k.Stats,
 	}
@@ -213,17 +213,20 @@ func (k *Kernel) ImportState(s KernelState) {
 	k.nextReal = s.NextReal
 	k.nextImag = s.NextImag
 	k.realInUse = s.RealInUse
-	k.clientSCOMA = s.ClientSCOMA
-	k.clientSCOMAHigh = s.ClientSCOMAHigh
-
+	// The client list and its count are rebuilt from the bindings;
+	// ClientSCOMA is their length at export.
 	k.frames = make(map[mem.FrameID]*frameBinding, len(s.Frames))
+	k.clients = nil
 	for _, e := range s.Frames {
-		k.frames[e.Frame] = &frameBinding{
-			vp:     mem.VPage{Seg: e.VPSeg, Page: e.VPPage},
-			page:   mem.GPage{Seg: e.GSeg, Page: e.GPage},
-			client: e.Client,
+		fb := &frameBinding{
+			frame: e.Frame,
+			vp:    mem.VPage{Seg: e.VPSeg, Page: e.VPPage},
+			page:  mem.GPage{Seg: e.GSeg, Page: e.GPage},
 		}
+		k.frames[e.Frame] = fb
+		k.setClient(fb, e.Client)
 	}
+	k.clientSCOMAHigh = s.ClientSCOMAHigh
 	k.pageMode = make(map[mem.GPage]pit.Mode, len(s.PageMode))
 	for _, e := range s.PageMode {
 		k.pageMode[mem.GPage{Seg: e.Seg, Page: e.Page}] = pit.Mode(e.Value)

@@ -147,7 +147,8 @@ func (DynUtil) Choose(v View, g mem.GPage) Decision {
 
 // DynLRU pages out the least-recently-used client S-COMA frame,
 // converts its page to LA-NUMA mode, and reallocates the frame to the
-// faulting page. Approximable in software with pseudo-LRU.
+// faulting page. The kernel's LRU is exact, by each frame's last local
+// bus transaction; software could approximate it with pseudo-LRU.
 type DynLRU struct{}
 
 // Name implements Policy.

@@ -432,7 +432,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		spec = *sp
-	} else if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
+	} else if err := decodeSpec(r.Body, &spec); err != nil {
 		httpError(w, http.StatusBadRequest, "bad spec: %v", err)
 		return
 	}
@@ -452,6 +452,21 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 		writeJSON(w, code, st)
 	}
+}
+
+// decodeSpec reads exactly one JSON spec from body. A key Spec does not
+// know (a misspelled "polices" would otherwise silently mean "every
+// policy") and anything after the object are errors.
+func decodeSpec(body io.Reader, spec *Spec) error {
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(spec); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("trailing data after the spec object")
+	}
+	return nil
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -357,6 +358,37 @@ func TestHTTPErrors(t *testing.T) {
 	}
 	if _, err := c.MetricsCell(st.ID, "fft_SCOMA"); err == nil || !strings.Contains(err.Error(), fmt.Sprint(http.StatusConflict)) {
 		t.Errorf("result of a live job: got %v, want HTTP %d", err, http.StatusConflict)
+	}
+}
+
+// A spec body the server cannot read in full is refused with one line
+// and queues nothing: a misspelled key would otherwise fall back to a
+// default, and a second object would be ignored.
+func TestSubmitRejectsUnreadableSpec(t *testing.T) {
+	s := server.New(server.Config{})
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	for body, want := range map[string]string{
+		`{"size":"mini","apps":["fft"],"polices":["SCOMA"]}`:            `unknown field \"polices\"`,
+		`{"size":"mini","apps":["fft"],"policies":["SCOMA"]}{"junk":1}`: "trailing data",
+		`{"size":"mini","apps":["fft"],"policies":["SCOMA"]} trailing`:  "trailing data",
+	} {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), want) ||
+			strings.Count(strings.TrimSpace(string(msg)), "\n") != 0 {
+			t.Errorf("POST %s: %d %q, want %d with one line naming %s", body, resp.StatusCode, msg, http.StatusBadRequest, want)
+		}
+	}
+	if jobs := s.Jobs(); len(jobs) != 0 {
+		t.Errorf("refused specs created %d jobs", len(jobs))
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"io"
+	"strconv"
 	"strings"
 
 	"prism"
@@ -129,8 +129,7 @@ func (s *Spec) Normalize() error {
 // cached result is still valid: the simulator's serialized-state
 // fingerprint, the CSV row format, and the metrics export schema.
 func schemaMaterial() string {
-	return fmt.Sprintf("%s+csv/%s+metrics/v%d",
-		testcase.SchemaFingerprint(), harness.CSVHeader, metrics.Schema)
+	return testcase.SchemaFingerprint() + "+csv/" + harness.CSVHeader + "+metrics/v" + strconv.Itoa(metrics.Schema)
 }
 
 // Digest returns the spec's content address: SHA-256 over the
@@ -146,11 +145,8 @@ func (s *Spec) digestWith(schema string) string {
 		// Spec has no unmarshalable fields; this cannot happen.
 		panic(err)
 	}
-	h := sha256.New()
-	h.Write(canonical)
-	h.Write([]byte{0})
-	io.WriteString(h, schema)
-	return hex.EncodeToString(h.Sum(nil))
+	sum := sha256.Sum256(append(append(canonical, 0), schema...))
+	return hex.EncodeToString(sum[:])
 }
 
 // Options builds the harness options that execute the spec. The

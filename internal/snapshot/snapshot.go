@@ -33,6 +33,7 @@ import (
 	"io"
 	"reflect"
 	"sort"
+	"sync"
 )
 
 // Magic identifies a PRISM snapshot or testcase stream.
@@ -153,14 +154,29 @@ func HashBytes(data []byte) string {
 // declared order and types, recursively. Two builds agree on the
 // fingerprint iff their payload structs have the same shape, so it
 // detects schema drift that version numbers alone would miss.
+//
+// A type's shape is fixed for the life of the process, so each type is
+// walked once, on first use, and its fingerprint is served from a memo
+// afterwards (prismd's cache key and every Encode/Decode ask again).
 func Fingerprint(v any) string {
-	var b bytes.Buffer
-	seen := map[reflect.Type]bool{}
 	t := reflect.TypeOf(v)
 	for t != nil && t.Kind() == reflect.Ptr {
 		t = t.Elem()
 	}
-	walkType(&b, t, seen)
+	if fp, ok := fingerprints.Load(t); ok {
+		return fp.(string)
+	}
+	fp, _ := fingerprints.LoadOrStore(t, walkFingerprint(t))
+	return fp.(string)
+}
+
+// fingerprints memoizes Fingerprint: reflect.Type → string.
+var fingerprints sync.Map
+
+// walkFingerprint hashes one walk of t's structure.
+func walkFingerprint(t reflect.Type) string {
+	var b bytes.Buffer
+	walkType(&b, t, map[reflect.Type]bool{})
 	sum := sha256.Sum256(b.Bytes())
 	return hex.EncodeToString(sum[:8])
 }

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
 	"strings"
 
 	"prism/internal/core"
@@ -54,9 +55,8 @@ const ChaosName = "chaos"
 // cached outputs to the build's simulation semantics (prismd's
 // look-aside cache keys on it; see internal/server).
 func SchemaFingerprint() string {
-	return fmt.Sprintf("%s/v%d/%s+checkpoint/v%d/%s",
-		Kind, Version, snapshot.Fingerprint(&Case{}),
-		core.CheckpointVersion, snapshot.Fingerprint(&core.MachineSnapshot{}))
+	return Kind + "/v" + strconv.Itoa(Version) + "/" + snapshot.Fingerprint(&Case{}) +
+		"+checkpoint/v" + strconv.Itoa(core.CheckpointVersion) + "/" + snapshot.Fingerprint(&core.MachineSnapshot{})
 }
 
 // Expect records the run outcome the case must reproduce.
