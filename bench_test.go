@@ -39,7 +39,7 @@ func runApp(b *testing.B, app, pol string, caps []int) prism.Results {
 	if err != nil {
 		b.Fatal(err)
 	}
-	w, err := workloads.ByName(app, workloads.MiniSize)
+	w, err := workloads.NewWorkload(app, workloads.MiniSize, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func BenchmarkPITSweep(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				w, _ := workloads.ByName(app, workloads.MiniSize)
+				w, _ := workloads.NewWorkload(app, workloads.MiniSize, nil)
 				res, err := m.Run(w)
 				if err != nil {
 					b.Fatal(err)
@@ -212,7 +212,7 @@ func BenchmarkAblationDirectoryCache(b *testing.B) {
 			cfg.Policy = prism.MustPolicy("SCOMA")
 			cfg.Node.DirConfig.CacheEntries = entries
 			m, _ := prism.New(cfg)
-			w, _ := workloads.ByName("radix", workloads.MiniSize)
+			w, _ := workloads.NewWorkload("radix", workloads.MiniSize, nil)
 			res, err := m.Run(w)
 			if err != nil {
 				b.Fatal(err)
@@ -240,7 +240,7 @@ func BenchmarkAblationHomeFlags(b *testing.B) {
 			cfg.PageCacheCaps = caps
 			cfg.Kernel.NoHomeFlags = noFlags
 			m, _ := prism.New(cfg)
-			w, _ := workloads.ByName("radix", workloads.MiniSize)
+			w, _ := workloads.NewWorkload("radix", workloads.MiniSize, nil)
 			res, err := m.Run(w)
 			if err != nil {
 				b.Fatal(err)
@@ -266,7 +266,7 @@ func BenchmarkAblationDirClientHints(b *testing.B) {
 			cfg.Policy = prism.MustPolicy("SCOMA")
 			cfg.Node.CtrlCfg.DirClientHints = hints
 			m, _ := prism.New(cfg)
-			w, _ := workloads.ByName("mp3d", workloads.MiniSize)
+			w, _ := workloads.NewWorkload("mp3d", workloads.MiniSize, nil)
 			res, err := m.Run(w)
 			if err != nil {
 				b.Fatal(err)
@@ -322,7 +322,7 @@ func BenchmarkAblationDynBoth(b *testing.B) {
 			cfg.Policy = prism.MustPolicy(pol)
 			cfg.PageCacheCaps = fill(cfg.Nodes, 2) // hard pressure
 			m, _ := prism.New(cfg)
-			w, _ := workloads.ByName("barnes", workloads.MiniSize)
+			w, _ := workloads.NewWorkload("barnes", workloads.MiniSize, nil)
 			res, err := m.Run(w)
 			if err != nil {
 				b.Fatal(err)
@@ -349,7 +349,7 @@ func BenchmarkAblationSyncPages(b *testing.B) {
 			cfg.Policy = prism.MustPolicy("SCOMA")
 			cfg.HardwareSync = hw
 			m, _ := prism.New(cfg)
-			w, _ := workloads.ByName("water-nsq", workloads.MiniSize)
+			w, _ := workloads.NewWorkload("water-nsq", workloads.MiniSize, nil)
 			res, err := m.Run(w)
 			if err != nil {
 				b.Fatal(err)
@@ -378,7 +378,7 @@ func benchMachine(b *testing.B, app, pol string) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		w, err := workloads.ByName(app, workloads.MiniSize)
+		w, err := workloads.NewWorkload(app, workloads.MiniSize, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -415,7 +415,7 @@ func BenchmarkEngineEvents(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		m, _ := prism.New(cfg)
-		w, _ := workloads.ByName("water-spa", workloads.MiniSize)
+		w, _ := workloads.NewWorkload("water-spa", workloads.MiniSize, nil)
 		res, err := m.Run(w)
 		if err != nil {
 			b.Fatal(err)

@@ -200,7 +200,7 @@ func benchMachine(b *testing.B, app, pol string) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		w, err := workloads.ByName(app, workloads.MiniSize)
+		w, err := workloads.NewWorkload(app, workloads.MiniSize, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

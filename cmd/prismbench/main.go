@@ -79,32 +79,21 @@ func main() {
 		}()
 	}
 
-	size, err := cli.Size()
-	if err != nil {
-		fatal(err)
-	}
-	faults, err := cli.FaultPlan()
-	if err != nil {
-		fatal(err)
-	}
-
 	want, err := parseExperiments(*exp)
 	if err != nil {
 		fatal(err)
 	}
 
-	opts := harness.Options{
-		Size:        size,
-		Workers:     cli.Workers(),
-		MetricsDir:  cli.MetricsDir,
-		SampleEvery: cli.SampleEvery(),
-		Faults:      faults,
-	}
+	opts := harness.Options{Spec: cli.Spec, Workers: cli.Workers(), MetricsDir: cli.MetricsDir}
 	if *apps != "" {
 		opts.Apps = harness.SplitAppList(*apps)
 	}
 	if *pols != "" {
 		opts.Policies = strings.Split(*pols, ",")
+	}
+	// Reject bad -size/-apps/-pols/-faults before any experiment runs.
+	if err := opts.Normalize(); err != nil {
+		fatal(err)
 	}
 	if !*quiet {
 		opts.Log = os.Stderr
@@ -132,7 +121,7 @@ func main() {
 			fatal(err)
 		}
 		sweep = &SweepTiming{
-			Exp: *exp, Size: cli.SizeName, Jobs: opts.Workers,
+			Exp: *exp, Size: cli.Spec.Size, Jobs: opts.Workers,
 			WallMS: time.Since(start).Milliseconds(),
 		}
 		if *csvPath != "" {

@@ -31,7 +31,6 @@ import (
 	"prism/internal/harness"
 	"prism/internal/metrics"
 	"prism/internal/testcase"
-	"prism/workloads"
 )
 
 func main() {
@@ -81,10 +80,10 @@ func runCreate(args []string, stdout, stderr io.Writer) int {
 		nodesN  = fs.Int("nodes", 0, "override node count")
 		procs   = fs.Int("procs", 0, "override procs per node")
 		hwSync  = fs.Bool("hw-sync", false, "hardware (Sync-mode page) synchronization")
-		dramPIT = fs.Bool("dram-pit", false, "PIT at DRAM speed")
-		caps    = fs.String("caps", "", "per-node page-cache caps, comma separated")
+		dramPIT = fs.Bool("dram-pit", false, "PIT at DRAM speed (10-cycle access)")
+		caps    = fs.String("caps", "", "per-node page-cache caps, comma separated (default: sized by the sweep's SCOMA pass, which needs the default -nodes)")
 		faults  = fs.String("faults", "", "fault spec (fault.ParseSpec syntax)")
-		sample  = fs.Int64("sample", 0, "interval metric samples every N cycles")
+		sample  = fs.Uint64("sample", 0, "interval metric samples every N cycles")
 		ckptAt  = fs.Int64("checkpoint-at", 0, "embed a checkpoint at the first quiescent barrier fill at/after this sim time")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -95,25 +94,29 @@ func runCreate(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	c := &testcase.Case{
-		Name: *name, Workload: *wl, Size: *size, Policy: *pol,
+		Name: *name,
+		Cell: harness.Cell{App: *wl, Policy: *pol, Size: *size, Faults: *faults, SampleEvery: *sample},
 		Seed: *seed, Ops: *ops, Nodes: *nodesN, Procs: *procs,
-		HardwareSync: *hwSync, DRAMPIT: *dramPIT,
-		FaultSpec: *faults, SampleEvery: *sample, CheckpointAt: *ckptAt,
+		HardwareSync: *hwSync, CheckpointAt: *ckptAt,
 	}
-	if c.Workload == testcase.ChaosName {
+	if *dramPIT {
+		c.PITAccess = 10
+	}
+	if c.App == testcase.ChaosName {
 		c.Size = ""
 	} else {
 		// -workload speaks the harness app-spec grammar; the case
-		// stores the resolved name and parameter overrides separately.
-		wlName, params, err := harness.ParseAppSpec(*wl)
+		// stores its canonical spelling, the sweep's CSV label.
+		canon, err := harness.CanonicalAppSpec(*wl)
 		if err != nil {
 			fmt.Fprintf(stderr, "prismcase create: %v\n", err)
 			return 2
 		}
-		c.Workload, c.Params = wlName, params
+		c.App = canon
 	}
 	if c.Name == "" {
-		c.Name = strings.ToLower(c.Workload + "-" + strings.ReplaceAll(*pol, "-", ""))
+		app, _, _ := strings.Cut(c.App, ":")
+		c.Name = strings.ToLower(app + "-" + strings.ReplaceAll(*pol, "-", ""))
 	}
 	if *caps != "" {
 		for _, f := range strings.Split(*caps, ",") {
@@ -122,7 +125,7 @@ func runCreate(args []string, stdout, stderr io.Writer) int {
 				fmt.Fprintf(stderr, "prismcase create: bad -caps: %v\n", err)
 				return 2
 			}
-			c.PageCacheCaps = append(c.PageCacheCaps, v)
+			c.Caps = append(c.Caps, v)
 		}
 	}
 	if err := testcase.Create(c); err != nil {
@@ -293,16 +296,16 @@ func runMinimize(args []string, stdout, stderr io.Writer) int {
 }
 
 func printCase(w io.Writer, c *testcase.Case) {
-	fmt.Fprintf(w, "  name=%s workload=%s", c.Name, c.Workload)
-	for _, k := range workloads.Params(c.Params).Keys() {
-		fmt.Fprintf(w, " %s=%s", k, c.Params[k])
-	}
+	fmt.Fprintf(w, "  name=%s app=%s", c.Name, c.App)
 	if c.Size != "" {
 		fmt.Fprintf(w, " size=%s", c.Size)
 	}
 	fmt.Fprintf(w, " policy=%s", c.Policy)
-	if c.Workload == testcase.ChaosName {
+	if c.App == testcase.ChaosName {
 		fmt.Fprintf(w, " seed=%d ops=%d", c.Seed, c.Ops)
+	}
+	if c.Caps != nil {
+		fmt.Fprintf(w, " caps=%v", c.Caps)
 	}
 	if c.Nodes > 0 {
 		fmt.Fprintf(w, " nodes=%d", c.Nodes)
@@ -313,11 +316,11 @@ func printCase(w io.Writer, c *testcase.Case) {
 	if c.HardwareSync {
 		fmt.Fprint(w, " hw-sync")
 	}
-	if c.DRAMPIT {
-		fmt.Fprint(w, " dram-pit")
+	if c.PITAccess != 0 {
+		fmt.Fprintf(w, " pit=%d", c.PITAccess)
 	}
-	if c.FaultSpec != "" {
-		fmt.Fprintf(w, " faults=%q", c.FaultSpec)
+	if c.Faults != "" {
+		fmt.Fprintf(w, " faults=%q", c.Faults)
 	}
 	if c.Checkpoint != nil {
 		fmt.Fprintf(w, " checkpoint@t=%d", c.Checkpoint.Now)

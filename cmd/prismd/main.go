@@ -7,8 +7,7 @@
 //
 //	prismd serve  [-addr 127.0.0.1:8077] [-queue 64] [-jobs 1] [-job-workers 0] [-cache 256] [-drain-timeout 0]
 //	prismd submit [-addr URL] [-size ci] [-apps a,b] [-policies p,q] [-cap 0.7]
-//	              [-dram-pit] [-faults spec] [-metrics] [-sample N] [-case file.prismcase]
-//	              [-wait] [-csv out.csv]
+//	              [-dram-pit] [-faults spec] [-metrics] [-sample N] [-wait] [-csv out.csv]
 //	prismd status [-addr URL] [job-id]
 //	prismd cancel [-addr URL] <job-id>
 //
@@ -20,7 +19,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -45,7 +43,7 @@ func main() {
 
 const usage = `usage:
   prismd serve  [-addr 127.0.0.1:8077] [-queue N] [-jobs N] [-job-workers N] [-cache N] [-drain-timeout D]
-  prismd submit [-addr URL] [spec flags | -case file.prismcase] [-wait] [-csv out.csv]
+  prismd submit [-addr URL] [spec flags] [-wait] [-csv out.csv]
   prismd status [-addr URL] [job-id]
   prismd cancel [-addr URL] <job-id>`
 
@@ -167,7 +165,6 @@ func runSubmit(args []string, stdout, stderr io.Writer) int {
 	faults := fs.String("faults", "", "fault-injection spec (see prismsim -faults)")
 	metricsOn := fs.Bool("metrics", false, "collect per-cell telemetry exports")
 	sample := fs.Uint64("sample", 0, "sample interval metrics every N cycles (implies -metrics)")
-	caseFile := fs.String("case", "", "submit this .prismcase instead of spec flags")
 	wait := fs.Bool("wait", false, "stream job progress and wait for completion")
 	csvOut := fs.String("csv", "", "write the result CSV here (\"-\" = stdout; implies -wait)")
 	if err := fs.Parse(args); err != nil {
@@ -179,33 +176,19 @@ func runSubmit(args []string, stdout, stderr io.Writer) int {
 	}
 
 	c := client.New(*addr)
-	var st server.Status
-	var err error
-	if *caseFile != "" {
-		if *size != "" || *apps != "" || *policies != "" || *capFrac != 0 || *dramPIT || *faults != "" {
-			return fail(stderr, errors.New("-case replaces the spec flags; use one or the other"))
-		}
-		f, ferr := os.Open(*caseFile)
-		if ferr != nil {
-			return fail(stderr, ferr)
-		}
-		st, err = c.SubmitCase(f)
-		f.Close()
-	} else {
-		spec := &server.Spec{
-			Size:        *size,
-			Apps:        csvList(*apps),
-			Policies:    csvList(*policies),
-			CapFraction: *capFrac,
-			Faults:      *faults,
-			Metrics:     *metricsOn,
-			SampleEvery: *sample,
-		}
-		if *dramPIT {
-			spec.PITAccess = 10
-		}
-		st, err = c.Submit(spec)
+	spec := &harness.Spec{
+		Size:        *size,
+		Apps:        csvList(*apps),
+		Policies:    csvList(*policies),
+		CapFraction: *capFrac,
+		Faults:      *faults,
+		Metrics:     *metricsOn,
+		SampleEvery: *sample,
 	}
+	if *dramPIT {
+		spec.PITAccess = 10
+	}
+	st, err := c.Submit(spec)
 	if err != nil {
 		return fail(stderr, err)
 	}

@@ -122,15 +122,11 @@ func TestUsageErrors(t *testing.T) {
 		{"submit", "-nosuch"},              // unknown flag
 		{"status", "-addr", "x", "a", "b"}, // too many args
 		{"cancel"},                         // missing job id
+		{"submit", "-case", "x.prismcase"}, // a case is not a job spec
 	}
 	for _, args := range cases {
 		if code, _, _ := cli(t, args...); code != 2 {
 			t.Errorf("prismd %v: exit %d, want 2", args, code)
 		}
-	}
-	// -case excludes the spec flags.
-	code, _, errOut := cli(t, "submit", "-case", "x.prismcase", "-size", "mini")
-	if code != 1 || !strings.Contains(errOut, "-case") {
-		t.Errorf("-case + -size: exit %d, stderr %q", code, errOut)
 	}
 }

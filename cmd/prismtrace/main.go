@@ -46,16 +46,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	size, err := cli.Size()
-	if err != nil {
-		return err
-	}
-	faults, err := cli.FaultPlan()
-	if err != nil {
-		return err
-	}
-
+	// A capped policy runs with the caps the sweep's sizing pass would
+	// give it; synth is built here, not registered, so it is never sized.
+	cell := harness.Cell{App: *app, Policy: *pol, Size: cli.Spec.Size, Faults: cli.Spec.Faults}
 	var w prism.Workload
+	var err error
 	if *app == "synth" {
 		sc := workloads.DefaultSynthConfig()
 		sc.OpsPerIter = *ops
@@ -66,18 +61,18 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		w = workloads.NewSynth(sc)
 	} else {
-		if w, err = harness.NewWorkloadSpec(*app, size); err != nil {
+		if cell, err = cell.Sized(0); err != nil {
+			return err
+		}
+		if w, err = cell.Workload(); err != nil {
 			return err
 		}
 	}
 
-	cfg := workloads.ConfigForSize(size)
-	p, err := prism.PolicyByName(*pol)
+	cfg, err := cell.Config()
 	if err != nil {
 		return err
 	}
-	cfg.Policy = p
-	cfg.Faults = faults
 	m, err := prism.New(cfg)
 	if err != nil {
 		return err
@@ -91,7 +86,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	fmt.Fprintf(stdout, "%s (%s, %s): cycles=%d remote misses=%d\n\n",
-		w.Name(), size, *pol, res.Cycles, res.RemoteMisses)
+		w.Name(), cell.Size, *pol, res.Cycles, res.RemoteMisses)
 	fmt.Fprint(stdout, col.Summary(*top, m.NumProcs()))
 
 	if *csv != "" {

@@ -66,3 +66,16 @@ func TestBadArgs(t *testing.T) {
 		t.Error("unknown policy must fail")
 	}
 }
+
+// TestCappedPolicyIsSized: a capped policy runs with the caps the
+// sweep's sizing pass gives it, not uncapped (which measures SCOMA's
+// 1,192,823 cycles).
+func TestCappedPolicyIsSized(t *testing.T) {
+	var out, errb strings.Builder
+	if err := run([]string{"-app", "radix", "-size", "mini", "-policy", "Dyn-LRU", "-top", "1"}, &out, &errb); err != nil {
+		t.Fatalf("run: %v (stderr: %s)", err, errb.String())
+	}
+	if !strings.Contains(out.String(), "cycles=1278282 ") {
+		t.Errorf("radix/Dyn-LRU at mini size is 1278282 cycles in the sweep; got:\n%s", out.String())
+	}
+}

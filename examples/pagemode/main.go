@@ -42,7 +42,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		w, err := workloads.ByName(*app, size)
+		w, err := workloads.NewWorkload(*app, size, nil)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"prism/internal/harness"
 	"prism/internal/testcase"
 )
 
@@ -44,12 +45,13 @@ func FuzzChaos(f *testing.F) {
 		pol := fuzzPolicies[int(polIdx)%len(fuzzPolicies)]
 		c := &testcase.Case{
 			Name:         fmt.Sprintf("fuzz-chaos-%d-%s", seed, pol),
-			Workload:     testcase.ChaosName,
-			Policy:       pol,
+			Cell:         harness.Cell{App: testcase.ChaosName, Policy: pol},
 			Seed:         seed,
 			Ops:          400,
 			HardwareSync: hwSync,
-			DRAMPIT:      dramPIT,
+		}
+		if dramPIT {
+			c.PITAccess = 10
 		}
 		if pol == "Dyn-Both" {
 			c.DynBothThreshold = 16

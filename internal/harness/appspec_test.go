@@ -90,14 +90,16 @@ func TestSpecFileName(t *testing.T) {
 func trafficSweepCSV(t *testing.T, workers int) string {
 	t.Helper()
 	runs, err := Run(Options{
-		Size: workloads.MiniSize,
-		Apps: []string{
-			"kv:ops=128,keys=8192,shards=32",
-			"pubsub:rounds=2,topics=64",
-			"ZIPFFE:pages=512,ops=512",
+		Spec: Spec{
+			Size: "mini",
+			Apps: []string{
+				"kv:ops=128,keys=8192,shards=32",
+				"pubsub:rounds=2,topics=64",
+				"ZIPFFE:pages=512,ops=512",
+			},
+			Policies: []string{"SCOMA", "Dyn-LRU"},
 		},
-		Policies: []string{"SCOMA", "Dyn-LRU"},
-		Workers:  workers,
+		Workers: workers,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -131,11 +133,9 @@ func TestTrafficSweepWorkerRepeatability(t *testing.T) {
 func TestSweepBadSpecFails(t *testing.T) {
 	var buf bytes.Buffer
 	_, err := Run(Options{
-		Size:     workloads.MiniSize,
-		Apps:     []string{"kv:bogus=1"},
-		Policies: []string{"SCOMA"},
-		Workers:  1,
-		Log:      &buf,
+		Spec:    Spec{Size: "mini", Apps: []string{"kv:bogus=1"}, Policies: []string{"SCOMA"}},
+		Workers: 1,
+		Log:     &buf,
 	})
 	if !errors.Is(err, workloads.ErrUnknownParam) {
 		t.Fatalf("got %v, want ErrUnknownParam", err)

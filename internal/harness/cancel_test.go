@@ -5,8 +5,6 @@ import (
 	"errors"
 	"strings"
 	"testing"
-
-	"prism/workloads"
 )
 
 // cancelAfterLines is an Options.Log sink that cancels a context once
@@ -31,10 +29,9 @@ func (c *cancelAfterLines) Write(p []byte) (int, error) {
 // partial results with the context error.
 func TestRunCancelSequential(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	sink := &cancelAfterLines{n: 2, cancel: cancel} // app header + SCOMA cell
+	sink := &cancelAfterLines{n: 2, cancel: cancel} // "pass 1" line + SCOMA cell
 	opts := Options{
-		Size:    workloads.MiniSize,
-		Apps:    []string{"fft", "water-spa"},
+		Spec:    Spec{Size: "mini", Apps: []string{"fft", "water-spa"}},
 		Workers: 1,
 		Log:     sink,
 		Context: ctx,
@@ -62,8 +59,7 @@ func TestRunCancelParallel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	sink := &cancelAfterLines{n: 3, cancel: cancel}
 	opts := Options{
-		Size:    workloads.MiniSize,
-		Apps:    []string{"fft", "water-spa"},
+		Spec:    Spec{Size: "mini", Apps: []string{"fft", "water-spa"}},
 		Workers: 2,
 		Log:     sink,
 		Context: ctx,
@@ -74,7 +70,7 @@ func TestRunCancelParallel(t *testing.T) {
 	}
 
 	// Every partial cell must be byte-identical to an uncanceled run's.
-	ref, err := Run(Options{Size: workloads.MiniSize, Apps: []string{"fft", "water-spa"}, Workers: 1})
+	ref, err := Run(Options{Spec: Spec{Size: "mini", Apps: []string{"fft", "water-spa"}}, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,8 +98,7 @@ func TestRunCancelBeforeStart(t *testing.T) {
 	cancel()
 	for _, workers := range []int{1, 4} {
 		runs, err := Run(Options{
-			Size:    workloads.MiniSize,
-			Apps:    []string{"fft"},
+			Spec:    Spec{Size: "mini", Apps: []string{"fft"}},
 			Workers: workers,
 			Context: ctx,
 		})
@@ -122,8 +117,7 @@ func TestPITSweepCancel(t *testing.T) {
 	cancel()
 	for _, workers := range []int{1, 4} {
 		rows, err := RunPITSweep(Options{
-			Size:    workloads.MiniSize,
-			Apps:    []string{"fft"},
+			Spec:    Spec{Size: "mini", Apps: []string{"fft"}},
 			Workers: workers,
 			Context: ctx,
 		})

@@ -3,8 +3,8 @@ package harness
 // Shared CLI surface of the prism commands. Every tool that exposes
 // -size, -j/-seq, -metrics, -sample or -faults registers the flag here,
 // so names, defaults and help text cannot drift between prismbench,
-// prismsim, prismstat and prismtrace — and so the fault-spec syntax is
-// parsed by exactly one function (fault.ParseSpec).
+// prismsim, prismstat and prismtrace — and so the values land in a
+// Spec, validated by exactly one function (Spec.Normalize).
 
 import (
 	"flag"
@@ -13,21 +13,18 @@ import (
 	"os"
 	"strings"
 
-	"prism/internal/fault"
-	"prism/internal/sim"
 	"prism/workloads"
 )
 
 // CLI collects the flag values shared across the prism commands. A tool
-// registers the subset it supports on its flag set, parses, and then
-// reads the resolved values through the accessor methods.
+// registers the subset it supports on its flag set and parses; -size,
+// -faults and -sample land in Spec, which the tool completes and hands
+// to the harness (which validates it).
 type CLI struct {
-	SizeName   string
+	Spec       Spec
 	Jobs       int
 	Seq        bool
 	MetricsDir string
-	Sample     uint64
-	FaultSpec  string
 }
 
 // NewFlagSet builds a flag set the way the prism commands use them:
@@ -40,13 +37,13 @@ func NewFlagSet(name string, out io.Writer) *flag.FlagSet {
 
 // RegisterSize registers -size with default def ("mini", "ci", "paper").
 func (c *CLI) RegisterSize(fs *flag.FlagSet, def string) {
-	fs.StringVar(&c.SizeName, "size", def, "data-set size: "+strings.Join(SizeNames, "|"))
+	fs.StringVar(&c.Spec.Size, "size", def, "data-set size: "+strings.Join(SizeNames, "|"))
 }
 
 // RegisterParallel registers the worker-pool pair -j / -seq.
 func (c *CLI) RegisterParallel(fs *flag.FlagSet) {
 	fs.IntVar(&c.Jobs, "j", 0, "max concurrent runs (0 = all host cores)")
-	fs.BoolVar(&c.Seq, "seq", false, "force the sequential path (same as -j 1)")
+	fs.BoolVar(&c.Seq, "seq", false, "run one cell at a time (same as -j 1)")
 }
 
 // RegisterMetrics registers -metrics (telemetry export directory).
@@ -57,18 +54,15 @@ func (c *CLI) RegisterMetrics(fs *flag.FlagSet) {
 
 // RegisterSample registers -sample (interval snapshots in the export).
 func (c *CLI) RegisterSample(fs *flag.FlagSet) {
-	fs.Uint64Var(&c.Sample, "sample", 0,
+	fs.Uint64Var(&c.Spec.SampleEvery, "sample", 0,
 		"record interval metric snapshots every N cycles in the export (needs -metrics; 0 = final snapshot only)")
 }
 
 // RegisterFaults registers -faults (lossy-fabric fault spec).
 func (c *CLI) RegisterFaults(fs *flag.FlagSet) {
-	fs.StringVar(&c.FaultSpec, "faults", "",
+	fs.StringVar(&c.Spec.Faults, "faults", "",
 		"lossy-fabric spec: seed=N,drop=P,dup=P,delay=P[,delaymax=N,rto=N,rtomax=N,retry=N,<class>.<field>=V] (empty = perfect fabric)")
 }
-
-// Size resolves -size.
-func (c *CLI) Size() (workloads.Size, error) { return ParseSize(c.SizeName) }
 
 // Workers resolves -j / -seq into a harness worker count.
 func (c *CLI) Workers() int {
@@ -78,22 +72,19 @@ func (c *CLI) Workers() int {
 	return c.Jobs
 }
 
-// SampleEvery resolves -sample into a snapshot interval.
-func (c *CLI) SampleEvery() sim.Time { return sim.Time(c.Sample) }
-
-// FaultPlan resolves -faults into a fault plan; an empty spec returns
-// (nil, nil), the perfect fabric.
-func (c *CLI) FaultPlan() (*fault.Plan, error) { return fault.ParseSpec(c.FaultSpec) }
-
 // SizeNames lists the valid -size spellings in ascending scale order —
 // shared flag help text across the commands (workloads.SizeNames is
 // the source of truth).
 var SizeNames = workloads.SizeNames()
 
-// ParseSize maps a -size value to a workload size. The error (wrapping
+// ParseSize maps a -size value to a workload size; empty means ci, the
+// default size of every experiment description. The error (wrapping
 // workloads.ErrUnknownSize) names every valid size, so a mistyped flag
 // is self-explanatory.
 func ParseSize(s string) (workloads.Size, error) {
+	if s == "" {
+		return workloads.CISize, nil
+	}
 	return workloads.ParseSize(s)
 }
 

@@ -6,9 +6,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-
-	"prism/internal/fault"
-	"prism/workloads"
 )
 
 func TestCLIRegistrationAndAccessors(t *testing.T) {
@@ -27,20 +24,20 @@ func TestCLIRegistrationAndAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sz, err := cli.Size(); err != nil || sz != workloads.MiniSize {
-		t.Fatalf("size %v err %v", sz, err)
+	if cli.Spec.Size != "mini" {
+		t.Fatalf("size %q", cli.Spec.Size)
 	}
 	if cli.Workers() != 4 {
 		t.Fatalf("workers %d, want 4", cli.Workers())
 	}
-	if cli.MetricsDir != "out" || cli.SampleEvery() != 1000 {
-		t.Fatalf("metrics %q sample %d", cli.MetricsDir, cli.SampleEvery())
+	if cli.MetricsDir != "out" || cli.Spec.SampleEvery != 1000 {
+		t.Fatalf("metrics %q sample %d", cli.MetricsDir, cli.Spec.SampleEvery)
 	}
-	plan, err := cli.FaultPlan()
+	cfg, err := cli.Spec.Cell("fft", "SCOMA", nil).Config()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan == nil || plan.Seed != 42 || plan.Default.Drop != 0.02 {
+	if plan := cfg.Faults; plan == nil || plan.Seed != 42 || plan.Default.Drop != 0.02 {
 		t.Fatalf("fault plan %+v", plan)
 	}
 }
@@ -64,28 +61,24 @@ func TestCLIEmptyFaultsIsPerfectFabric(t *testing.T) {
 	if err := fs.Parse(nil); err != nil {
 		t.Fatal(err)
 	}
-	plan, err := cli.FaultPlan()
-	if err != nil || plan != nil {
-		t.Fatalf("empty -faults: plan %v err %v, want nil/nil", plan, err)
+	cfg, err := cli.Spec.Cell("fft", "SCOMA", nil).Config()
+	if err != nil || cfg.Faults != nil {
+		t.Fatalf("empty -faults: plan %v err %v, want nil/nil", cfg.Faults, err)
 	}
 }
 
 func TestCLIBadValues(t *testing.T) {
-	var cli CLI
-	fs := NewFlagSet("test", io.Discard)
-	cli.RegisterSize(fs, "ci")
-	cli.RegisterFaults(fs)
-	if err := fs.Parse([]string{"-size", "huge"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cli.Size(); err == nil {
-		t.Error("size huge accepted")
-	}
-	if err := fs.Parse([]string{"-faults", "drop=2"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cli.FaultPlan(); err == nil {
-		t.Error("fault rate 2 accepted")
+	for _, args := range [][]string{{"-size", "huge"}, {"-faults", "drop=2"}} {
+		var cli CLI
+		fs := NewFlagSet("test", io.Discard)
+		cli.RegisterSize(fs, "ci")
+		cli.RegisterFaults(fs)
+		if err := fs.Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		if err := cli.Spec.Normalize(); err == nil {
+			t.Errorf("%v accepted", args)
+		}
 	}
 }
 
@@ -111,14 +104,13 @@ func TestParseSizeErrorNamesValidSizes(t *testing.T) {
 func TestSweepWithFaultsDeterministic(t *testing.T) {
 	run := func() []byte {
 		opts := Options{
-			Size:     workloads.MiniSize,
-			Apps:     []string{"water-spa"},
-			Policies: []string{"SCOMA"},
-			Workers:  1,
-			Faults: &fault.Plan{
-				Seed:    7,
-				Default: fault.Rates{Drop: 0.02, Dup: 0.02},
+			Spec: Spec{
+				Size:     "mini",
+				Apps:     []string{"water-spa"},
+				Policies: []string{"SCOMA"},
+				Faults:   "seed=7,drop=0.02,dup=0.02",
 			},
+			Workers: 1,
 		}
 		runs, err := Run(opts)
 		if err != nil {

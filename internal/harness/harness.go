@@ -8,8 +8,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"runtime"
 	"sort"
 	"strings"
@@ -17,52 +15,34 @@ import (
 
 	"prism"
 	"prism/internal/core"
-	"prism/internal/fault"
 	"prism/internal/latency"
 	"prism/internal/metrics"
 	"prism/internal/sim"
-	"prism/workloads"
 )
 
 // PolicyOrder is the paper's Figure 7 legend order.
 var PolicyOrder = []string{"SCOMA", "LANUMA", "SCOMA-70", "Dyn-FCFS", "Dyn-Util", "Dyn-LRU"}
 
-// Options configures an experiment sweep.
+// Options is a sweep: the Spec it runs plus the run-time choices that
+// cannot change a result.
 type Options struct {
-	Size     workloads.Size
-	Apps     []string // nil = all eight
-	Policies []string // nil = all six
-	// PITAccess overrides the PIT access time (the §4.3 study); 0
-	// keeps the default (2 cycles, SRAM).
-	PITAccess sim.Time
-	// CapFraction is the page-cache fraction of the SCOMA maximum
-	// used by capped policies (the paper's 0.70).
-	CapFraction float64
+	Spec
 	// Log, when non-nil, receives progress lines. Writes are
 	// serialized by an internal mutex, so lines stay atomic even
 	// when runs execute concurrently.
 	Log io.Writer
 	// Workers bounds how many runs execute concurrently: 0 means
-	// GOMAXPROCS, 1 forces the sequential path. Every run owns a
-	// private Machine, so results are bit-identical at any width.
+	// GOMAXPROCS. Every run owns a private Machine, so results are
+	// bit-identical at any width.
 	Workers int
 	// MetricsDir, when non-empty, makes every sweep cell write its
-	// full telemetry export to <MetricsDir>/<app>_<policy>.json
-	// (metrics.Export, analyzed with prismstat). Export is pure
-	// observation: the sweep's results and CSV are byte-identical
-	// with or without it. The PIT sweep ignores MetricsDir (it runs
-	// the same app × policy cell twice, which would collide).
+	// full telemetry export to <MetricsDir>/<Cell.Name>.json
+	// (metrics.Export, analyzed with prismstat), with interval samples
+	// when the Spec asks for them. Export is pure observation: the
+	// sweep's results and CSV are byte-identical with or without it.
+	// The PIT sweep ignores MetricsDir (it runs the same app × policy
+	// cell twice, which would collide).
 	MetricsDir string
-	// SampleEvery, when nonzero (and MetricsDir is set), records
-	// interval metric snapshots every N cycles in each cell's export.
-	SampleEvery sim.Time
-	// Faults, when non-nil and active, makes every run's interconnect
-	// lossy under the plan's seeded deterministic schedule; the
-	// machine's recovery transport repairs the damage, so sweeps still
-	// converge to the same workload results. nil — or a plan with all
-	// rates zero and nothing scripted — keeps the perfect fabric and
-	// byte-identical output.
-	Faults *fault.Plan
 	// Context, when non-nil, lets a caller abort an in-flight sweep.
 	// Cancellation is observed at cell boundaries: the cells already
 	// running finish (a simulation cannot be interrupted mid-run
@@ -82,29 +62,14 @@ func (o *Options) ctx() context.Context {
 	return context.Background()
 }
 
-func (o *Options) defaults() {
-	if o.Apps == nil {
-		o.Apps = workloads.Names()
+// prepare normalizes the spec — so every tool rejects and
+// canonicalizes the same inputs — and readies the log mutex.
+func (o *Options) prepare() error {
+	if err := o.Normalize(); err != nil {
+		return err
 	}
-	// Canonicalize app specs up front so CSV rows, log lines and cell
-	// labels use one spelling regardless of how the caller wrote the
-	// spec. Specs that fail to parse are kept verbatim: runOne builds
-	// the workload from the same spec and surfaces the real error.
-	o.Apps = append([]string(nil), o.Apps...)
-	for i, app := range o.Apps {
-		if canon, err := CanonicalAppSpec(app); err == nil {
-			o.Apps[i] = canon
-		}
-	}
-	if o.Policies == nil {
-		o.Policies = append([]string(nil), PolicyOrder...)
-	}
-	if o.CapFraction == 0 {
-		o.CapFraction = 0.70
-	}
-	if o.logMu == nil {
-		o.logMu = &sync.Mutex{}
-	}
+	o.logMu = &sync.Mutex{}
+	return nil
 }
 
 // workers resolves the effective worker count.
@@ -133,78 +98,15 @@ type AppRun struct {
 	Caps  []int // per-node page-cache caps used by capped policies
 }
 
-// config builds the machine configuration for one run.
-func (o *Options) config(polName string, caps []int) (prism.Config, error) {
-	cfg := workloads.ConfigForSize(o.Size)
-	pol, err := prism.PolicyByName(polName)
+// runOne executes one sweep cell and logs its progress line.
+func (o *Options) runOne(c Cell) (prism.Results, error) {
+	res, err := RunCell(c, o.MetricsDir)
 	if err != nil {
-		return cfg, err
-	}
-	cfg.Policy = pol
-	if polName != "SCOMA" && polName != "LANUMA" {
-		cfg.PageCacheCaps = caps
-	}
-	if o.PITAccess != 0 {
-		cfg.Node.PITConfig.AccessTime = o.PITAccess
-	}
-	cfg.Faults = o.Faults
-	return cfg, nil
-}
-
-// runOne executes one app × policy. A panic anywhere in the cell —
-// in engine context, or on a processor coroutine, whose panic Step
-// re-raises in the engine's goroutine — becomes the cell's error, so
-// one failing cell cannot crash a sweep's worker or a server.
-func (o *Options) runOne(app, polName string, caps []int) (res prism.Results, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			res, err = prism.Results{}, fmt.Errorf("%s/%s: %v", app, polName, r)
-		}
-	}()
-	cfg, err := o.config(polName, caps)
-	if err != nil {
-		return prism.Results{}, err
-	}
-	m, err := prism.New(cfg)
-	if err != nil {
-		return prism.Results{}, err
-	}
-	if o.MetricsDir != "" && o.SampleEvery != 0 {
-		m.SampleMetrics(o.SampleEvery)
-	}
-	w, err := NewWorkloadSpec(app, o.Size)
-	if err != nil {
-		return prism.Results{}, err
-	}
-	res, err = m.Run(w)
-	if err != nil {
-		return prism.Results{}, fmt.Errorf("%s/%s: %w", app, polName, err)
-	}
-	if o.MetricsDir != "" {
-		path := filepath.Join(o.MetricsDir, fmt.Sprintf("%s_%s.json", SpecFileName(app), polName))
-		if err := m.ExportMetrics(app, polName).WriteJSONFile(path); err != nil {
-			return prism.Results{}, fmt.Errorf("%s/%s: metrics export: %w", app, polName, err)
-		}
+		return res, err
 	}
 	o.logf("  %-10s %-9s cycles=%-12d remote=%-9d pageouts=%-6d frames=%d+%d",
-		app, polName, res.Cycles, res.RemoteMisses, res.ClientPageOuts, res.RealFrames, res.ImagFrames)
+		c.App, c.Policy, res.Cycles, res.RemoteMisses, res.ClientPageOuts, res.RealFrames, res.ImagFrames)
 	return res, nil
-}
-
-// capsFor derives the per-node page-cache caps for the capped policies
-// from a SCOMA sizing run: CapFraction × per-node max client frames,
-// floored at one frame. Both the sequential and parallel paths use it,
-// so the two-pass methodology is identical in either mode.
-func capsFor(scoma prism.Results, frac float64) []int {
-	caps := make([]int, len(scoma.MaxClientFrames))
-	for i, c := range scoma.MaxClientFrames {
-		cap := int(float64(c) * frac)
-		if cap < 1 {
-			cap = 1
-		}
-		caps[i] = cap
-	}
-	return caps
 }
 
 // Run executes the full sweep: for each app, a SCOMA pass sizes the
@@ -212,11 +114,11 @@ func capsFor(scoma prism.Results, frac float64) []int {
 // requested policy runs. The SCOMA pass is reused as the SCOMA result
 // when requested.
 //
-// With Workers != 1 the sweep runs on a worker pool (see parallel.go):
-// pass 1 executes every app's SCOMA sizing run as one wave, pass 2
-// executes the remaining app × policy cells. Each cell builds a
-// private Machine, so the aggregation — and the resulting CSV — is
-// byte-identical to the sequential path's.
+// The sweep runs on a worker pool (see parallel.go) in two waves:
+// pass 1 executes every app's SCOMA sizing run, pass 2 the remaining
+// app × policy cells. Each cell builds a private Machine, so the
+// aggregation — and the resulting CSV — is byte-identical at any
+// worker count; with one worker the cells run in index order.
 //
 // When Options.Context is canceled mid-sweep, Run stops at the next
 // cell boundary and returns the cells completed so far (apps whose
@@ -224,54 +126,10 @@ func capsFor(scoma prism.Results, frac float64) []int {
 // alongside the context's error, so callers can report partial
 // progress instead of losing the whole sweep.
 func Run(opts Options) ([]AppRun, error) {
-	opts.defaults()
-	if opts.MetricsDir != "" {
-		if err := os.MkdirAll(opts.MetricsDir, 0o755); err != nil {
-			return nil, fmt.Errorf("harness: metrics dir: %w", err)
-		}
+	if err := opts.prepare(); err != nil {
+		return nil, err
 	}
-	if opts.workers() > 1 {
-		return runParallel(&opts)
-	}
-	return runSequential(&opts)
-}
-
-// runSequential is the original single-goroutine sweep loop.
-func runSequential(opts *Options) ([]AppRun, error) {
-	ctx := opts.ctx()
-	var out []AppRun
-	for _, app := range opts.Apps {
-		if err := ctx.Err(); err != nil {
-			return out, fmt.Errorf("harness: sweep aborted: %w", err)
-		}
-		opts.logf("%s:", app)
-		ar := AppRun{App: app, ByPol: make(map[string]prism.Results)}
-
-		scoma, err := opts.runOne(app, "SCOMA", nil)
-		if err != nil {
-			return out, err
-		}
-		ar.ByPol["SCOMA"] = scoma
-		ar.Caps = capsFor(scoma, opts.CapFraction)
-
-		for _, pol := range opts.Policies {
-			if pol == "SCOMA" {
-				continue
-			}
-			if err := ctx.Err(); err != nil {
-				out = append(out, ar)
-				return out, fmt.Errorf("harness: sweep aborted: %w", err)
-			}
-			res, err := opts.runOne(app, pol, ar.Caps)
-			if err != nil {
-				out = append(out, ar)
-				return out, err
-			}
-			ar.ByPol[pol] = res
-		}
-		out = append(out, ar)
-	}
-	return out, nil
+	return runPool(&opts)
 }
 
 // ---------------------------------------------------------------------------
@@ -385,40 +243,13 @@ type PITRow struct {
 // PIT shifts LRU victim timing under Dyn-*, which can swamp the
 // translation signal at small scales).
 func RunPITSweep(opts Options) ([]PITRow, error) {
-	opts.defaults()
+	if err := opts.prepare(); err != nil {
+		return nil, err
+	}
 	// Both PIT cells are the same app × policy, so per-cell export
 	// files would collide; the PIT study never uses the exports.
 	opts.MetricsDir = ""
-	if opts.workers() > 1 {
-		return runPITParallel(&opts)
-	}
-	ctx := opts.ctx()
-	var out []PITRow
-	for _, app := range opts.Apps {
-		if err := ctx.Err(); err != nil {
-			return out, fmt.Errorf("harness: sweep aborted: %w", err)
-		}
-		opts.logf("%s (PIT sweep):", app)
-		fastOpts := opts
-		fastOpts.PITAccess = 2
-		fast, err := fastOpts.runOne(app, "LANUMA", nil)
-		if err != nil {
-			return nil, err
-		}
-		slowOpts := opts
-		slowOpts.PITAccess = 10
-		slow, err := slowOpts.runOne(app, "LANUMA", nil)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, PITRow{
-			App:      app,
-			Fast:     fast.Cycles,
-			Slow:     slow.Cycles,
-			Increase: float64(slow.Cycles)/float64(fast.Cycles) - 1,
-		})
-	}
-	return out, nil
+	return runPITPool(&opts)
 }
 
 // FormatPITSweep renders the PIT study.
@@ -431,13 +262,6 @@ func FormatPITSweep(rows []PITRow) string {
 			fmt.Sprintf("%.1f%%", r.Increase*100))
 	}
 	return "PIT access time study (§4.3): DRAM (10cy) vs SRAM (2cy) PIT, LANUMA\n" + tb.String()
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // CSVHeader is the sweep dump's column row.

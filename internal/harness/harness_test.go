@@ -3,15 +3,10 @@ package harness
 import (
 	"strings"
 	"testing"
-
-	"prism/workloads"
 )
 
 func miniOpts() Options {
-	return Options{
-		Size: workloads.MiniSize,
-		Apps: []string{"fft", "water-spa"},
-	}
+	return Options{Spec: Spec{Size: "mini", Apps: []string{"fft", "water-spa"}}}
 }
 
 func TestRunSweep(t *testing.T) {
@@ -84,7 +79,7 @@ func TestTable1(t *testing.T) {
 }
 
 func TestPITSweep(t *testing.T) {
-	opts := Options{Size: workloads.MiniSize, Apps: []string{"fft"}}
+	opts := Options{Spec: Spec{Size: "mini", Apps: []string{"fft"}}}
 	rows, err := RunPITSweep(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -105,8 +100,52 @@ func TestPITSweep(t *testing.T) {
 }
 
 func TestBadApp(t *testing.T) {
-	opts := Options{Size: workloads.MiniSize, Apps: []string{"nosuch"}}
+	opts := Options{Spec: Spec{Size: "mini", Apps: []string{"nosuch"}}}
 	if _, err := Run(opts); err == nil {
 		t.Error("unknown app accepted")
+	}
+}
+
+// TestSweepCanonicalizesPolicies: policy names are canonicalized before
+// the sweep, so "scoma" is the sizing cell rather than a second SCOMA
+// run, and every requested policy lands in the CSV.
+func TestSweepCanonicalizesPolicies(t *testing.T) {
+	var log strings.Builder
+	runs, err := Run(Options{
+		Spec:    Spec{Size: "mini", Apps: []string{"fft"}, Policies: []string{"scoma", "lanuma"}},
+		Workers: 1,
+		Log:     &log,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(log.String(), "cycles="); n != 2 {
+		t.Errorf("ran %d cells, want 2:\n%s", n, log.String())
+	}
+	csv := CSVString(runs)
+	for _, row := range []string{"\nfft,SCOMA,", "\nfft,LANUMA,"} {
+		if !strings.Contains(csv, row) {
+			t.Errorf("CSV lacks a %q row:\n%s", row[1:], csv)
+		}
+	}
+}
+
+// TestCellConfigRefusesUnsizedCappedCell: a capped cell on a registered
+// workload without caps would run uncapped — SCOMA under another
+// label — so Config refuses it in one line. Workloads the caller builds
+// itself (the chaos fuzzer, synth) are not sized and pass.
+func TestCellConfigRefusesUnsizedCappedCell(t *testing.T) {
+	_, err := Cell{App: "fft", Policy: "SCOMA-70", Size: "mini"}.Config()
+	if err == nil || strings.Contains(err.Error(), "\n") {
+		t.Errorf("unsized fft/SCOMA-70: err %v, want one line", err)
+	}
+	for _, c := range []Cell{
+		{App: "fft", Policy: "SCOMA-70", Size: "mini", Caps: []int{1, 1, 1, 1, 1, 1, 1, 1}},
+		{App: "fft", Policy: "LANUMA", Size: "mini"},
+		{App: "synth", Policy: "Dyn-LRU"},
+	} {
+		if _, err := c.Config(); err != nil {
+			t.Errorf("%+v: %v", c, err)
+		}
 	}
 }

@@ -7,15 +7,12 @@ import (
 	"testing"
 
 	"prism/internal/metrics"
-	"prism/workloads"
 )
 
 // metricsOpts is a one-app, two-policy sweep small enough to run twice.
 func metricsOpts(dir string) Options {
 	return Options{
-		Size:       workloads.MiniSize,
-		Apps:       []string{"fft"},
-		Policies:   []string{"SCOMA", "Dyn-LRU"},
+		Spec:       Spec{Size: "mini", Apps: []string{"fft"}, Policies: []string{"SCOMA", "Dyn-LRU"}},
 		MetricsDir: dir,
 	}
 }

@@ -1,12 +1,12 @@
-// Parallel sweep execution. Every (app, policy, config) cell is an
-// independent deterministic simulation — a private sim.Engine, Machine
-// and workload instance per run, nothing shared but read-only config —
-// so cells can execute on a worker pool without changing any result.
-// The two-pass SCOMA-70 methodology survives as two waves: pass 1 runs
-// every app's SCOMA sizing cell, pass 2 runs the remaining cells with
-// the caps pass 1 derived. Results land in index-addressed slices and
-// are aggregated in deterministic order afterwards, so the output —
-// including the CSV dump — is byte-identical to the sequential path.
+// Sweep execution. Every (app, policy, config) cell is an independent
+// deterministic simulation — a private sim.Engine, Machine and
+// workload instance per run, nothing shared but read-only config — so
+// cells can execute on a worker pool without changing any result. The
+// two-pass SCOMA-70 methodology runs as two waves: pass 1 runs every
+// app's SCOMA sizing cell, pass 2 runs the remaining cells with the
+// caps pass 1 derived. Results land in index-addressed slices and are
+// aggregated in deterministic order afterwards, so the output —
+// including the CSV dump — is byte-identical at any worker count.
 package harness
 
 import (
@@ -79,10 +79,10 @@ func firstError(errs []error, ctx context.Context) error {
 	return nil
 }
 
-// runParallel executes the sweep on a worker pool in two waves. On
+// runPool executes the sweep on a worker pool in two waves. On
 // cancellation it aggregates and returns only the cells that completed
 // before the abort, alongside the context error.
-func runParallel(o *Options) ([]AppRun, error) {
+func runPool(o *Options) ([]AppRun, error) {
 	ctx := o.ctx()
 	w := o.workers()
 	runs := make([]AppRun, len(o.Apps))
@@ -90,7 +90,7 @@ func runParallel(o *Options) ([]AppRun, error) {
 	// Pass 1: SCOMA sizing for every app.
 	o.logf("pass 1: SCOMA sizing, %d apps on %d workers", len(o.Apps), w)
 	sized, err := forEachIndexed(ctx, len(o.Apps), w, func(i int) error {
-		scoma, err := o.runOne(o.Apps[i], "SCOMA", nil)
+		scoma, err := o.runOne(o.Cell(o.Apps[i], "SCOMA", nil))
 		if err != nil {
 			return err
 		}
@@ -120,7 +120,7 @@ func runParallel(o *Options) ([]AppRun, error) {
 	results := make([]prism.Results, len(cells))
 	ran, err := forEachIndexed(ctx, len(cells), w, func(i int) error {
 		c := cells[i]
-		res, err := o.runOne(o.Apps[c.app], o.Policies[c.pol], runs[c.app].Caps)
+		res, err := o.runOne(o.Cell(o.Apps[c.app], o.Policies[c.pol], runs[c.app].Caps))
 		if err != nil {
 			return err
 		}
@@ -150,20 +150,20 @@ func collectDone(runs []AppRun, sized []bool) []AppRun {
 	return out
 }
 
-// runPITParallel executes the §4.3 PIT sweep's 2×apps cells on a pool.
-func runPITParallel(o *Options) ([]PITRow, error) {
+// runPITPool executes the §4.3 PIT sweep's 2×apps cells on a pool.
+func runPITPool(o *Options) ([]PITRow, error) {
 	ctx := o.ctx()
 	w := o.workers()
 	o.logf("PIT sweep: %d cells on %d workers", 2*len(o.Apps), w)
 	results := make([]prism.Results, 2*len(o.Apps))
 	ran, err := forEachIndexed(ctx, len(results), w, func(i int) error {
-		cellOpts := *o
+		c := o.Cell(o.Apps[i/2], "LANUMA", nil)
 		if i%2 == 0 {
-			cellOpts.PITAccess = 2
+			c.PITAccess = 2
 		} else {
-			cellOpts.PITAccess = 10
+			c.PITAccess = 10
 		}
-		res, err := cellOpts.runOne(o.Apps[i/2], "LANUMA", nil)
+		res, err := o.runOne(c)
 		if err != nil {
 			return err
 		}

@@ -11,9 +11,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-
-	"prism/internal/fault"
-	"prism/workloads"
 )
 
 // TestParallelMatchesSequential is the core determinism guarantee of
@@ -63,7 +60,7 @@ func TestWorkersResolution(t *testing.T) {
 // TestPITSweepParallelMatchesSequential covers the other sweep entry
 // point.
 func TestPITSweepParallelMatchesSequential(t *testing.T) {
-	base := Options{Size: workloads.MiniSize, Apps: []string{"fft", "water-spa"}}
+	base := Options{Spec: Spec{Size: "mini", Apps: []string{"fft", "water-spa"}}}
 
 	seqOpts := base
 	seqOpts.Workers = 1
@@ -116,7 +113,7 @@ func TestParallelLogLinesAtomic(t *testing.T) {
 // same (lowest-ordered) error the sequential loop reports, regardless
 // of scheduling.
 func TestParallelErrorIsDeterministic(t *testing.T) {
-	opts := Options{Size: workloads.MiniSize, Apps: []string{"nosuch-a", "nosuch-b"}}
+	opts := Options{Spec: Spec{Size: "mini", Apps: []string{"nosuch-a", "nosuch-b"}}}
 	opts.Workers = 1
 	_, seqErr := Run(opts)
 	if seqErr == nil {
@@ -139,18 +136,11 @@ func TestParallelErrorIsDeterministic(t *testing.T) {
 // comes back as an error naming the cell instead of crashing the
 // process.
 func TestCellPanicIsCellError(t *testing.T) {
-	plan, err := fault.ParseSpec("seed=1,drop=0.9,retry=2")
-	if err != nil {
-		t.Fatal(err)
-	}
 	opts := Options{
-		Size:     workloads.MiniSize,
-		Apps:     []string{"fft", "radix"},
-		Policies: []string{"SCOMA"},
-		Workers:  2,
-		Faults:   plan,
+		Spec:    Spec{Size: "mini", Apps: []string{"fft", "radix"}, Policies: []string{"SCOMA"}, Faults: "seed=1,drop=0.9,retry=2"},
+		Workers: 2,
 	}
-	_, err = Run(opts)
+	_, err := Run(opts)
 	if err == nil {
 		t.Fatal("sweep over a fabric dropping 90 percent of messages with retry cap 2 succeeded")
 	}
@@ -163,16 +153,9 @@ func TestCellPanicIsCellError(t *testing.T) {
 // machine's processor coroutines, so failing cells leave no goroutine
 // (and no machine) behind.
 func TestFailedCellsReleaseGoroutines(t *testing.T) {
-	plan, err := fault.ParseSpec("seed=1,drop=0.9,retry=2")
-	if err != nil {
-		t.Fatal(err)
-	}
 	opts := Options{
-		Size:     workloads.MiniSize,
-		Apps:     []string{"fft"},
-		Policies: []string{"SCOMA"},
-		Workers:  1,
-		Faults:   plan,
+		Spec:    Spec{Size: "mini", Apps: []string{"fft"}, Policies: []string{"SCOMA"}, Faults: "seed=1,drop=0.9,retry=2"},
+		Workers: 1,
 	}
 	base := runtime.NumGoroutine()
 	for i := 0; i < 5; i++ {

@@ -56,7 +56,7 @@ func TestTLBInvalidate(t *testing.T) {
 func TestTLBDeterministicEviction(t *testing.T) {
 	// Two entries inserted in one "burst" have distinct clocks, so
 	// eviction order is deterministic across runs.
-	runOnce := func() []uint32 {
+	fill := func() []uint32 {
 		tb := newTLB(3)
 		for i := 0; i < 10; i++ {
 			tb.insert(mem.VPage{Seg: 1, Page: uint32(i)}, mem.FrameID(i))
@@ -69,7 +69,7 @@ func TestTLBDeterministicEviction(t *testing.T) {
 		}
 		return present
 	}
-	a, b := runOnce(), runOnce()
+	a, b := fill(), fill()
 	if len(a) != 3 || len(b) != 3 {
 		t.Fatalf("capacity violated: %v %v", a, b)
 	}

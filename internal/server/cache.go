@@ -8,7 +8,7 @@ import (
 // MetricsCell is one sweep cell's telemetry export, exactly the bytes
 // harness would have written to <MetricsDir>/<cell>.json.
 type MetricsCell struct {
-	Cell string `json:"cell"` // "<harness.SpecFileName(app)>_<policy>"
+	Cell string `json:"cell"` // harness.Cell.Name
 	JSON []byte `json:"json"`
 }
 
@@ -19,8 +19,8 @@ type Result struct {
 	CSV     []byte
 	Metrics []MetricsCell
 	// Caps records the per-node page-cache caps the SCOMA sizing pass
-	// derived for each app — what CaseFor needs to export a cell as a
-	// reproducible .prismcase.
+	// derived for each app — what a capped cell's .prismcase export
+	// needs to reproduce the run.
 	Caps map[string][]int
 }
 

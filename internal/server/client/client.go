@@ -15,6 +15,7 @@ import (
 	"strconv"
 	"strings"
 
+	"prism/internal/harness"
 	"prism/internal/server"
 )
 
@@ -70,20 +71,13 @@ func (c *Client) do(method, path string, contentType string, body io.Reader, out
 
 // Submit posts a spec and returns the resulting job status — already
 // terminal when the result cache had the digest.
-func (c *Client) Submit(spec *server.Spec) (server.Status, error) {
+func (c *Client) Submit(spec *harness.Spec) (server.Status, error) {
 	body, err := json.Marshal(spec)
 	if err != nil {
 		return server.Status{}, err
 	}
 	var st server.Status
 	err = c.do("POST", "/v1/jobs", "application/json", bytes.NewReader(body), &st)
-	return st, err
-}
-
-// SubmitCase posts a .prismcase stream as a job.
-func (c *Client) SubmitCase(r io.Reader) (server.Status, error) {
-	var st server.Status
-	err := c.do("POST", "/v1/jobs", server.PrismcaseContentType, r, &st)
 	return st, err
 }
 

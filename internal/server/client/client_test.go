@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"prism/internal/harness"
 	"prism/internal/server"
 )
 
@@ -57,7 +58,7 @@ func TestErrorDecoding(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	_, err := New(ts.URL).Submit(&server.Spec{})
+	_, err := New(ts.URL).Submit(&harness.Spec{})
 	if err == nil {
 		t.Fatal("Submit returned nil error")
 	}

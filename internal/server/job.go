@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+
+	"prism/internal/harness"
 )
 
 // State is a job's lifecycle phase.
@@ -54,7 +56,7 @@ type StatusData struct {
 // number of SSE streams can wait without polling.
 type Job struct {
 	ID     string
-	Spec   *Spec
+	Spec   *harness.Spec
 	Digest string
 
 	mu      sync.Mutex
@@ -67,7 +69,7 @@ type Job struct {
 	cancel  context.CancelFunc
 }
 
-func newJob(id string, spec *Spec, digest string) *Job {
+func newJob(id string, spec *harness.Spec, digest string) *Job {
 	j := &Job{
 		ID:      id,
 		Spec:    spec,
@@ -185,6 +187,13 @@ func (j *Job) Cancel() bool {
 	return true
 }
 
+// terminal reports whether the job has reached a final state.
+func (j *Job) terminal() bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.state.Terminal()
+}
+
 // Result returns the stored result, or nil while the job is live or
 // after a failure.
 func (j *Job) Result() *Result {
@@ -195,13 +204,13 @@ func (j *Job) Result() *Result {
 
 // Status is the job's wire representation.
 type Status struct {
-	ID     string `json:"id"`
-	State  State  `json:"state"`
-	Cached bool   `json:"cached,omitempty"`
-	Digest string `json:"digest"`
-	Error  string `json:"error,omitempty"`
-	Events int    `json:"events"`
-	Spec   *Spec  `json:"spec,omitempty"`
+	ID     string        `json:"id"`
+	State  State         `json:"state"`
+	Cached bool          `json:"cached,omitempty"`
+	Digest string        `json:"digest"`
+	Error  string        `json:"error,omitempty"`
+	Events int           `json:"events"`
+	Spec   *harness.Spec `json:"spec,omitempty"`
 }
 
 // Status snapshots the job. withSpec includes the normalized spec

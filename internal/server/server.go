@@ -187,11 +187,11 @@ func (s *Server) Abort() {
 // submissions are served from the result cache as an immediately-done
 // job. The returned error is a spec validation error, ErrDraining, or
 // ErrQueueFull.
-func (s *Server) Submit(spec *Spec) (*Job, error) {
+func (s *Server) Submit(spec *harness.Spec) (*Job, error) {
 	if err := spec.Normalize(); err != nil {
 		return nil, err
 	}
-	digest := spec.Digest()
+	digest := Digest(spec)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -204,9 +204,7 @@ func (s *Server) Submit(spec *Spec) (*Job, error) {
 	job := newJob(id, spec, digest)
 	if res, ok := s.cache.Get(digest); ok {
 		job.complete(res, true)
-		s.nextID++
-		s.jobs[id] = job
-		s.order = append(s.order, id)
+		s.addLocked(job)
 		s.submitted.Add(1)
 		s.completed.Add(1)
 		s.logf("job %s done (cache hit, digest %.12s…)", id, digest)
@@ -220,13 +218,39 @@ func (s *Server) Submit(spec *Spec) (*Job, error) {
 	default:
 		return nil, ErrQueueFull
 	}
-	s.nextID++
-	s.jobs[id] = job
-	s.order = append(s.order, id)
+	s.addLocked(job)
 	s.inflight[digest] = job
 	s.submitted.Add(1)
 	s.logf("job %s queued (digest %.12s…, %d×%d cells)", id, digest, len(spec.Apps), len(spec.Policies))
 	return job, nil
+}
+
+// maxJobs bounds the job table. Every submission, cache hits included,
+// creates a job record, so without a bound a long-running prismd grows
+// by one record per request.
+const maxJobs = 1024
+
+// addLocked records a new job and retires the oldest terminal jobs
+// beyond maxJobs, the way the result cache evicts its oldest entries.
+// A queued or running job is never retired; a retired ID answers 404.
+// Callers hold mu.
+func (s *Server) addLocked(job *Job) {
+	s.nextID++
+	s.jobs[job.ID] = job
+	s.order = append(s.order, job.ID)
+	for i := 0; len(s.order) > maxJobs && i < len(s.order); {
+		id := s.order[i]
+		if !s.jobs[id].terminal() {
+			i++
+			continue
+		}
+		delete(s.jobs, id)
+		if i == 0 {
+			s.order = s.order[1:]
+		} else {
+			s.order = append(s.order[:i], s.order[i+1:]...)
+		}
+	}
 }
 
 // Job looks a job up by ID.
@@ -287,19 +311,15 @@ func (s *Server) runJob(job *Job) {
 	defer s.busy.Add(-1)
 	s.logf("job %s running", job.ID)
 
-	opts, err := job.Spec.Options(harness.Options{
+	opts := harness.Options{
+		Spec:    *job.Spec,
 		Log:     logWriter{job},
 		Workers: s.cfg.JobWorkers,
 		Context: ctx,
-	})
-	if err != nil {
-		// Normalize validated the spec, so this is unreachable; keep
-		// the job accounting honest anyway.
-		s.failJob(job, err)
-		return
 	}
 	var metricsDir string
 	if job.Spec.Metrics {
+		var err error
 		metricsDir, err = os.MkdirTemp("", "prismd-"+job.ID+"-")
 		if err != nil {
 			s.failJob(job, err)
@@ -351,13 +371,13 @@ func (s *Server) failJob(job *Job, err error) {
 
 // readMetricsCells collects the per-cell telemetry exports the sweep
 // wrote, in deterministic spec order (apps major, policies minor —
-// the same order the CSV rows use). Cells are named like the files,
-// after the flattened app spec (harness.SpecFileName).
-func readMetricsCells(dir string, spec *Spec) ([]MetricsCell, error) {
+// the same order the CSV rows use). Cells are named like the files
+// (harness.Cell.Name).
+func readMetricsCells(dir string, spec *harness.Spec) ([]MetricsCell, error) {
 	var out []MetricsCell
 	for _, app := range spec.Apps {
 		for _, pol := range spec.Policies {
-			cell := harness.SpecFileName(app) + "_" + pol
+			cell := spec.Cell(app, pol, nil).Name()
 			data, err := os.ReadFile(filepath.Join(dir, cell+".json"))
 			if errors.Is(err, os.ErrNotExist) {
 				continue
@@ -414,25 +434,13 @@ func writeJSON(w http.ResponseWriter, code int, v interface{}) {
 	enc.Encode(v) //nolint:errcheck // client went away; nothing to do
 }
 
-// PrismcaseContentType marks a request body holding a .prismcase
-// stream instead of a JSON spec.
+// PrismcaseContentType marks a response body holding a .prismcase
+// stream (the /case/{cell} export).
 const PrismcaseContentType = "application/x-prismcase"
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var spec Spec
-	if strings.HasPrefix(r.Header.Get("Content-Type"), PrismcaseContentType) {
-		c, err := testcase.Read(r.Body)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "bad .prismcase: %v", err)
-			return
-		}
-		sp, err := SpecFromCase(c)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		spec = *sp
-	} else if err := decodeSpec(r.Body, &spec); err != nil {
+	var spec harness.Spec
+	if err := decodeSpec(r.Body, &spec); err != nil {
 		httpError(w, http.StatusBadRequest, "bad spec: %v", err)
 		return
 	}
@@ -456,8 +464,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 // decodeSpec reads exactly one JSON spec from body. A key Spec does not
 // know (a misspelled "polices" would otherwise silently mean "every
-// policy") and anything after the object are errors.
-func decodeSpec(body io.Reader, spec *Spec) error {
+// policy"), anything after the object, and any other body — a
+// .prismcase stream included — are errors.
+func decodeSpec(body io.Reader, spec *harness.Spec) error {
 	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(spec); err != nil {
@@ -565,8 +574,9 @@ func (s *Server) handleMetricsCell(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleCase exports one completed cell as a .prismcase skeleton: the
-// spec knobs plus the page-cache caps the sizing pass derived, ready
-// for prismcase create/run tooling.
+// spec's cell, with the page-cache caps the sizing pass derived, named
+// like its metrics export (harness.Cell.Name) and ready for prismcase
+// create/run tooling.
 func (s *Server) handleCase(w http.ResponseWriter, r *http.Request) {
 	job, ok := s.job(w, r)
 	if !ok {
@@ -577,25 +587,21 @@ func (s *Server) handleCase(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusConflict, "job %s is %s; no result", job.ID, job.Status(false).State)
 		return
 	}
-	cell := strings.TrimSuffix(r.PathValue("cell"), ".prismcase")
-	app, policy, ok := strings.Cut(cell, "_")
-	if !ok {
-		httpError(w, http.StatusBadRequest, "cell %q is not <app>_<policy>", cell)
-		return
+	name := strings.TrimSuffix(r.PathValue("cell"), ".prismcase")
+	for _, app := range job.Spec.Apps {
+		for _, pol := range job.Spec.Policies {
+			cell := job.Spec.Cell(app, pol, res.Caps[app])
+			if cell.Name() != name {
+				continue
+			}
+			w.Header().Set("Content-Type", PrismcaseContentType)
+			if err := testcase.Write(w, &testcase.Case{Name: name, Cell: cell}); err != nil {
+				httpError(w, http.StatusInternalServerError, "%v", err)
+			}
+			return
+		}
 	}
-	var caps []int
-	if policy != "SCOMA" && policy != "LANUMA" {
-		caps = res.Caps[app]
-	}
-	c, err := job.Spec.CaseFor(app, policy, caps)
-	if err != nil {
-		httpError(w, http.StatusNotFound, "%v", err)
-		return
-	}
-	w.Header().Set("Content-Type", PrismcaseContentType)
-	if err := testcase.Write(w, c); err != nil {
-		httpError(w, http.StatusInternalServerError, "%v", err)
-	}
+	httpError(w, http.StatusNotFound, "job %s has no cell %q", job.ID, name)
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {

@@ -56,7 +56,7 @@ func waitState(t *testing.T, c *client.Client, id string, want server.State) ser
 	return server.Status{}
 }
 
-var tinySpec = server.Spec{
+var tinySpec = harness.Spec{
 	Size:     "mini",
 	Apps:     []string{"fft"},
 	Policies: []string{"SCOMA", "LANUMA"},
@@ -218,7 +218,7 @@ func TestCancelQueued(t *testing.T) {
 
 func TestCancelRunning(t *testing.T) {
 	_, c := startServer(t, server.Config{})
-	spec := server.Spec{Size: "mini"} // all 8 apps × 6 policies: long enough to catch mid-run
+	spec := harness.Spec{Size: "mini"} // all 8 apps × 6 policies: long enough to catch mid-run
 	st, err := c.Submit(&spec)
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
@@ -249,7 +249,7 @@ func TestCancelRunning(t *testing.T) {
 // stream a live subscriber saw.
 func TestSSELateSubscriberReplay(t *testing.T) {
 	_, c := startServer(t, server.Config{})
-	spec := server.Spec{Size: "mini", Apps: []string{"fft"}, Policies: []string{"SCOMA"}}
+	spec := harness.Spec{Size: "mini", Apps: []string{"fft"}, Policies: []string{"SCOMA"}}
 	st, err := c.Submit(&spec)
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
@@ -293,7 +293,7 @@ func TestQueueFullAndDraining(t *testing.T) {
 	if _, err := c.Submit(&first); err != nil {
 		t.Fatalf("first submit: %v", err)
 	}
-	second := server.Spec{Size: "mini", Apps: []string{"lu"}}
+	second := harness.Spec{Size: "mini", Apps: []string{"lu"}}
 	_, err := c.Submit(&second)
 	if err == nil || !strings.Contains(err.Error(), fmt.Sprint(http.StatusTooManyRequests)) {
 		t.Fatalf("overflow submit: got %v, want HTTP %d", err, http.StatusTooManyRequests)
@@ -310,7 +310,7 @@ func TestQueueFullAndDraining(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	third := server.Spec{Size: "mini", Apps: []string{"radix"}}
+	third := harness.Spec{Size: "mini", Apps: []string{"radix"}}
 	if _, err := c.Submit(&third); err == nil || !strings.Contains(err.Error(), fmt.Sprint(http.StatusServiceUnavailable)) {
 		t.Fatalf("draining submit: got %v, want HTTP %d", err, http.StatusServiceUnavailable)
 	}
@@ -336,7 +336,7 @@ func TestDrainFinishesInFlight(t *testing.T) {
 
 func TestHTTPErrors(t *testing.T) {
 	_, c := startServer(t, server.Config{})
-	bad := []server.Spec{
+	bad := []harness.Spec{
 		{Size: "huge"},
 		{Apps: []string{"nosuch"}},
 		{Policies: []string{"SCOMA", "SCOMA"}},
@@ -351,7 +351,7 @@ func TestHTTPErrors(t *testing.T) {
 	if _, err := c.Job("j9999"); err == nil || !strings.Contains(err.Error(), fmt.Sprint(http.StatusNotFound)) {
 		t.Errorf("missing job: got %v, want HTTP %d", err, http.StatusNotFound)
 	}
-	spec := server.Spec{Size: "mini", Apps: []string{"fft"}, Policies: []string{"SCOMA"}}
+	spec := harness.Spec{Size: "mini", Apps: []string{"fft"}, Policies: []string{"SCOMA"}}
 	st, err := c.Submit(&spec)
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
@@ -438,35 +438,76 @@ func TestServerMetricsExport(t *testing.T) {
 	}
 }
 
-// A .prismcase round-trips through the gateway: submit one as a job,
-// export the finished cell back as a case.
-func TestPrismcaseSubmitAndExport(t *testing.T) {
+// An exported capped cell is the sweep's cell: testcase.Create on the
+// case prismd exports for fft_SCOMA-70 records the job's own CSV row.
+func TestCaseExportReproducesJobRow(t *testing.T) {
 	_, c := startServer(t, server.Config{})
-	orig := &testcase.Case{Name: "gateway-rt", Workload: "fft", Size: "mini", Policy: "SCOMA-70"}
-	var buf bytes.Buffer
-	if err := testcase.Write(&buf, orig); err != nil {
-		t.Fatalf("testcase.Write: %v", err)
-	}
-	st, err := c.SubmitCase(&buf)
+	spec := harness.Spec{Size: "mini", Apps: []string{"fft"}, Policies: []string{"SCOMA-70"}}
+	st, err := c.Submit(&spec)
 	if err != nil {
-		t.Fatalf("SubmitCase: %v", err)
+		t.Fatalf("Submit: %v", err)
 	}
 	if st, err = c.Wait(context.Background(), st.ID, nil); err != nil || st.State != server.StateDone {
-		t.Fatalf("case job: state %s, err %v", st.State, err)
+		t.Fatalf("job: state %s, err %v", st.State, err)
 	}
+	csv, err := c.ResultCSV(st.ID)
+	if err != nil {
+		t.Fatalf("ResultCSV: %v", err)
+	}
+	var want string
+	for _, row := range strings.Split(string(csv), "\n") {
+		if strings.HasPrefix(row, "fft,SCOMA-70,") {
+			want = row
+		}
+	}
+	if want == "" {
+		t.Fatalf("job CSV has no fft,SCOMA-70 row:\n%s", csv)
+	}
+
 	raw, err := c.Case(st.ID, "fft_SCOMA-70")
 	if err != nil {
 		t.Fatalf("Case export: %v", err)
 	}
-	back, err := testcase.Read(bytes.NewReader(raw))
+	exported, err := testcase.Read(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatalf("exported cell is not a readable case: %v", err)
 	}
-	if back.Workload != "fft" || back.Policy != "SCOMA-70" || back.Size != "mini" {
-		t.Errorf("exported case lost identity: %+v", back)
+	if exported.Name != "fft_SCOMA-70" || len(exported.Caps) == 0 {
+		t.Fatalf("exported case %q carries caps %v, want fft_SCOMA-70 with the sizing pass's caps", exported.Name, exported.Caps)
 	}
-	if len(back.PageCacheCaps) == 0 {
-		t.Errorf("exported capped-policy case carries no derived page-cache caps")
+	if err := testcase.Create(exported); err != nil {
+		t.Fatalf("Create: %v", err)
+	}
+	if exported.Expect.CSVRow != want {
+		t.Errorf("case records row\n  %s\nthe job's row is\n  %s", exported.Expect.CSVRow, want)
+	}
+	if _, err := c.Case(st.ID, "lu_SCOMA-70"); err == nil || !strings.Contains(err.Error(), "404") {
+		t.Errorf("export of a cell outside the job: %v, want a 404", err)
+	}
+}
+
+// A .prismcase is not a job description: a POST carrying one gets the
+// one-line 400 of any unreadable spec and queues nothing.
+func TestPrismcaseSubmitRejected(t *testing.T) {
+	s := server.New(server.Config{})
+	t.Cleanup(s.Abort)
+	var body bytes.Buffer
+	c := &testcase.Case{Name: "fft-scoma", Cell: harness.Cell{App: "fft", Policy: "SCOMA", Size: "mini"}}
+	if err := testcase.Write(&body, c); err != nil {
+		t.Fatalf("testcase.Write: %v", err)
+	}
+	req := httptest.NewRequest(http.MethodPost, "/v1/jobs", &body)
+	req.Header.Set("Content-Type", server.PrismcaseContentType)
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, req)
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400: %s", rec.Code, rec.Body)
+	}
+	if msg := strings.TrimSuffix(rec.Body.String(), "\n"); strings.Contains(msg, "\n") || !strings.Contains(msg, "bad spec") {
+		t.Errorf("reply %q is not one bad-spec line", rec.Body.String())
+	}
+	if jobs := s.Jobs(); len(jobs) != 0 {
+		t.Errorf("rejected submission left %d jobs", len(jobs))
 	}
 }
 
@@ -475,22 +516,14 @@ func TestPrismcaseSubmitAndExport(t *testing.T) {
 // writes (harness.SpecFileName(app)_policy.json).
 func TestMetricsCellsParameterizedApps(t *testing.T) {
 	_, c := startServer(t, server.Config{})
-	spec := server.Spec{
+	spec := harness.Spec{
 		Size:     "mini",
 		Apps:     []string{"kv:keys=1024;ops=16;shards=8", "pubsub:rounds=1;topics=16"},
 		Policies: []string{"SCOMA", "LANUMA"},
 		Metrics:  true,
 	}
-	local := spec
-	if err := local.Normalize(); err != nil {
-		t.Fatal(err)
-	}
 	dir := t.TempDir()
-	opts, err := local.Options(harness.Options{MetricsDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := harness.Run(opts); err != nil {
+	if _, err := harness.Run(harness.Options{Spec: spec, MetricsDir: dir}); err != nil {
 		t.Fatalf("local sweep: %v", err)
 	}
 	files, err := filepath.Glob(filepath.Join(dir, "*.json"))
@@ -550,7 +583,7 @@ func TestResubmitAfterDoneIsCached(t *testing.T) {
 	s.Start()
 	t.Cleanup(s.Abort)
 	for i := 0; i < 50; i++ {
-		spec := server.Spec{Size: "mini", Apps: []string{fmt.Sprintf("kv:keys=256;ops=%d;shards=4", i+1)}, Policies: []string{"SCOMA"}}
+		spec := harness.Spec{Size: "mini", Apps: []string{fmt.Sprintf("kv:keys=256;ops=%d;shards=4", i+1)}, Policies: []string{"SCOMA"}}
 		first := spec
 		job, err := s.Submit(&first)
 		if err != nil {
@@ -587,7 +620,7 @@ func TestResubmitAfterDoneIsCached(t *testing.T) {
 // server stays healthy and runs the next submission.
 func TestFailingCellKeepsServerUp(t *testing.T) {
 	_, c := startServer(t, server.Config{})
-	bad := server.Spec{Size: "mini", Apps: []string{"fft", "radix"}, Policies: []string{"SCOMA"}, Faults: "seed=1,drop=0.9,retry=2"}
+	bad := harness.Spec{Size: "mini", Apps: []string{"fft", "radix"}, Policies: []string{"SCOMA"}, Faults: "seed=1,drop=0.9,retry=2"}
 	st, err := c.Submit(&bad)
 	if err != nil {
 		t.Fatalf("Submit: %v", err)

@@ -4,10 +4,10 @@ import (
 	"strings"
 	"testing"
 
-	"prism/internal/testcase"
+	"prism/internal/harness"
 )
 
-func normalized(t *testing.T, s Spec) *Spec {
+func normalized(t *testing.T, s harness.Spec) *harness.Spec {
 	t.Helper()
 	if err := s.Normalize(); err != nil {
 		t.Fatalf("Normalize(%+v): %v", s, err)
@@ -18,30 +18,30 @@ func normalized(t *testing.T, s Spec) *Spec {
 // Sparse and fully-spelled submissions of the same experiment must
 // share a cache key.
 func TestDigestCanonicalization(t *testing.T) {
-	sparse := normalized(t, Spec{})
-	spelled := normalized(t, Spec{
+	sparse := normalized(t, harness.Spec{})
+	spelled := normalized(t, harness.Spec{
 		Size:        "ci",
 		Apps:        sparse.Apps,
 		Policies:    sparse.Policies,
 		CapFraction: 0.70,
 	})
-	if sparse.Digest() != spelled.Digest() {
-		t.Errorf("sparse %q != spelled-out %q", sparse.Digest(), spelled.Digest())
+	if Digest(sparse) != Digest(spelled) {
+		t.Errorf("sparse %q != spelled-out %q", Digest(sparse), Digest(spelled))
 	}
 
-	lower := normalized(t, Spec{Apps: []string{"fft"}, Policies: []string{"scoma"}})
-	upper := normalized(t, Spec{Apps: []string{"fft"}, Policies: []string{"SCOMA"}})
-	if lower.Digest() != upper.Digest() {
-		t.Errorf("policy-name case changed digest: %q != %q", lower.Digest(), upper.Digest())
+	lower := normalized(t, harness.Spec{Apps: []string{"fft"}, Policies: []string{"scoma"}})
+	upper := normalized(t, harness.Spec{Apps: []string{"fft"}, Policies: []string{"SCOMA"}})
+	if Digest(lower) != Digest(upper) {
+		t.Errorf("policy-name case changed digest: %q != %q", Digest(lower), Digest(upper))
 	}
 
 	// App-spec parameters canonicalize into the digest too: reordered
 	// parameters, alias names and default-valued overrides all spell
 	// the same cell.
-	a := normalized(t, Spec{Size: "mini", Apps: []string{"kv:ops=64,keys=4096"}, Policies: []string{"SCOMA"}})
-	b := normalized(t, Spec{Size: "mini", Apps: []string{"KV:keys=4096;ops=64,rounds=2"}, Policies: []string{"scoma"}})
-	if a.Digest() != b.Digest() {
-		t.Errorf("param spelling changed digest: %q != %q", a.Digest(), b.Digest())
+	a := normalized(t, harness.Spec{Size: "mini", Apps: []string{"kv:ops=64,keys=4096"}, Policies: []string{"SCOMA"}})
+	b := normalized(t, harness.Spec{Size: "mini", Apps: []string{"KV:keys=4096;ops=64,rounds=2"}, Policies: []string{"scoma"}})
+	if Digest(a) != Digest(b) {
+		t.Errorf("param spelling changed digest: %q != %q", Digest(a), Digest(b))
 	}
 	if a.Apps[0] != "kv:keys=4096;ops=64" {
 		t.Errorf("normalized app spec = %q", a.Apps[0])
@@ -51,8 +51,8 @@ func TestDigestCanonicalization(t *testing.T) {
 // Every knob must feed the digest: flipping any single one produces a
 // distinct key.
 func TestDigestDistinctPerKnob(t *testing.T) {
-	base := Spec{Size: "mini", Apps: []string{"fft"}, Policies: []string{"SCOMA"}}
-	variants := map[string]Spec{
+	base := harness.Spec{Size: "mini", Apps: []string{"fft"}, Policies: []string{"SCOMA"}}
+	variants := map[string]harness.Spec{
 		"size":         {Size: "ci", Apps: []string{"fft"}, Policies: []string{"SCOMA"}},
 		"app":          {Size: "mini", Apps: []string{"lu"}, Policies: []string{"SCOMA"}},
 		"extra app":    {Size: "mini", Apps: []string{"fft", "lu"}, Policies: []string{"SCOMA"}},
@@ -68,9 +68,9 @@ func TestDigestDistinctPerKnob(t *testing.T) {
 		// (per-cell exports or not), so it splits the key too.
 		"metrics": {Size: "mini", Apps: []string{"fft"}, Policies: []string{"SCOMA"}, Metrics: true},
 	}
-	seen := map[string]string{normalized(t, base).Digest(): "base"}
+	seen := map[string]string{Digest(normalized(t, base)): "base"}
 	for name, v := range variants {
-		d := normalized(t, v).Digest()
+		d := Digest(normalized(t, v))
 		if prev, dup := seen[d]; dup {
 			t.Errorf("variant %q collides with %q (digest %s)", name, prev, d)
 		}
@@ -81,18 +81,18 @@ func TestDigestDistinctPerKnob(t *testing.T) {
 // A simulator schema change (serialized machine state, CSV row format
 // or metrics export version) must invalidate every cached digest.
 func TestDigestSchemaBump(t *testing.T) {
-	s := normalized(t, Spec{Apps: []string{"fft"}, Policies: []string{"SCOMA"}})
-	now := s.Digest()
-	if bumped := s.digestWith(schemaMaterial() + "+v-next"); bumped == now {
+	s := normalized(t, harness.Spec{Apps: []string{"fft"}, Policies: []string{"SCOMA"}})
+	now := Digest(s)
+	if bumped := digestWith(s, schemaMaterial()+"+v-next"); bumped == now {
 		t.Errorf("schema bump did not change the digest")
 	}
-	if s.digestWith(schemaMaterial()) != now {
+	if digestWith(s, schemaMaterial()) != now {
 		t.Errorf("digestWith(schemaMaterial()) disagrees with Digest()")
 	}
 }
 
 func TestNormalizeRejects(t *testing.T) {
-	bad := map[string]Spec{
+	bad := map[string]harness.Spec{
 		"size":             {Size: "huge"},
 		"app":              {Apps: []string{"nosuch"}},
 		"duplicate app":    {Apps: []string{"fft", "fft"}},
@@ -110,58 +110,11 @@ func TestNormalizeRejects(t *testing.T) {
 		}
 	}
 	// ParseSize errors must name the valid sizes (the CLI satellite).
-	s := Spec{Size: "huge"}
+	s := harness.Spec{Size: "huge"}
 	err := s.Normalize()
 	for _, want := range []string{"mini", "ci", "paper"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("size error %q does not name %q", err, want)
-		}
-	}
-}
-
-func TestSpecCaseRoundTrip(t *testing.T) {
-	spec := normalized(t, Spec{
-		Size:        "mini",
-		Apps:        []string{"fft"},
-		Policies:    []string{"SCOMA-70"},
-		PITAccess:   10,
-		Faults:      "drop=0.01,seed=3",
-		SampleEvery: 500,
-	})
-	c, err := spec.CaseFor("fft", "SCOMA-70", []int{40, 40, 40, 40})
-	if err != nil {
-		t.Fatalf("CaseFor: %v", err)
-	}
-	if !c.DRAMPIT || c.FaultSpec != spec.Faults || c.SampleEvery != 500 {
-		t.Errorf("case lost knobs: %+v", c)
-	}
-	// The case carries derived caps, which SpecFromCase refuses (the
-	// sweep sizes its own); strip them as a sweep-reproducible case.
-	c.PageCacheCaps = nil
-	back, err := SpecFromCase(c)
-	if err != nil {
-		t.Fatalf("SpecFromCase: %v", err)
-	}
-	if back.Digest() != spec.Digest() {
-		t.Errorf("round trip changed digest:\n  spec %+v\n  back %+v", spec, back)
-	}
-
-	if _, err := spec.CaseFor("lu", "SCOMA-70", nil); err == nil {
-		t.Errorf("CaseFor accepted a cell outside the spec")
-	}
-}
-
-func TestSpecFromCaseRejectsNonSweepCases(t *testing.T) {
-	bad := map[string]*testcase.Case{
-		"chaos":      {Name: "x", Workload: testcase.ChaosName, Policy: "SCOMA"},
-		"checkpoint": {Name: "x", Workload: "fft", Policy: "SCOMA", CheckpointAt: 100},
-		"shape":      {Name: "x", Workload: "fft", Policy: "SCOMA", Nodes: 2},
-		"hwsync":     {Name: "x", Workload: "fft", Policy: "SCOMA", HardwareSync: true},
-		"caps":       {Name: "x", Workload: "fft", Policy: "SCOMA", PageCacheCaps: []int{1}},
-	}
-	for name, c := range bad {
-		if _, err := SpecFromCase(c); err == nil {
-			t.Errorf("SpecFromCase accepted %s case", name)
 		}
 	}
 }

@@ -31,7 +31,7 @@ func Minimize(c *Case, fails func(*Case) bool) *Case {
 	if !fails(cur) {
 		return cur
 	}
-	if cur.Workload == ChaosName && cur.Ops == 0 {
+	if cur.App == ChaosName && cur.Ops == 0 {
 		cur.Ops = 1500 // make the chaos default explicit so it can shrink
 	}
 	try := func(mut func(*Case)) bool {
@@ -48,19 +48,19 @@ func Minimize(c *Case, fails func(*Case) bool) *Case {
 		for cur.Ops > 50 && try(func(c *Case) { c.Ops /= 2 }) {
 			changed = true
 		}
-		if cur.FaultSpec != "" && try(func(c *Case) { c.FaultSpec = "" }) {
+		if cur.Faults != "" && try(func(c *Case) { c.Faults = "" }) {
 			changed = true
 		}
 		if cur.SampleEvery != 0 && try(func(c *Case) { c.SampleEvery = 0 }) {
 			changed = true
 		}
-		if cur.DRAMPIT && try(func(c *Case) { c.DRAMPIT = false }) {
+		if cur.PITAccess != 0 && try(func(c *Case) { c.PITAccess = 0 }) {
 			changed = true
 		}
 		if cur.HardwareSync && try(func(c *Case) { c.HardwareSync = false }) {
 			changed = true
 		}
-		if cur.PageCacheCaps != nil && try(func(c *Case) { c.PageCacheCaps = nil }) {
+		if cur.Caps != nil && try(func(c *Case) { c.Caps = nil }) {
 			changed = true
 		}
 		if cur.Policy != "SCOMA" && try(func(c *Case) { c.Policy = "SCOMA"; c.DynBothThreshold = 0 }) {

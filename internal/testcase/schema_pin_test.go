@@ -16,8 +16,8 @@ import (
 )
 
 const (
-	pinnedCaseVersion     = 2
-	pinnedCaseFingerprint = "679380aff7ac9dfa"
+	pinnedCaseVersion     = 3
+	pinnedCaseFingerprint = "6aed7c310f0cb852"
 	pinnedSnapVersion     = 2
 	pinnedSnapFingerprint = "004bce71f9a7180f"
 )

@@ -1,12 +1,12 @@
 // Package testcase defines the .prismcase record/replay format: a
-// self-contained description of one simulation run — workload, seed,
-// configuration knobs, fault spec, optional embedded mid-run
-// checkpoint — plus the expected results recorded when the case was
-// created. A case replays bit-identically: verifying it reruns the
-// simulation (or restores the embedded checkpoint and resumes, which
-// skips the recomputation before the safe point) and compares results,
-// metrics and the sweep CSV row against the recorded expectations by
-// hash.
+// self-contained description of one simulation run — the harness cell
+// (app, policy, size, caps, PIT, fault spec), chaos seed and fuzz-axis
+// overrides, optional embedded mid-run checkpoint — plus the expected
+// results recorded when the case was created. A case replays
+// bit-identically: verifying it reruns the simulation (or restores the
+// embedded checkpoint and resumes, which skips the recomputation
+// before the safe point) and compares results, metrics and the sweep
+// CSV row against the recorded expectations by hash.
 //
 // Cases serialize through the snapshot envelope (versioned, hashed,
 // schema-fingerprinted), so a .prismcase file written by one build
@@ -25,13 +25,11 @@ import (
 	"strings"
 
 	"prism/internal/core"
-	"prism/internal/fault"
 	"prism/internal/harness"
 	"prism/internal/metrics"
 	"prism/internal/policy"
 	"prism/internal/sim"
 	"prism/internal/snapshot"
-	"prism/workloads"
 )
 
 // Kind and Version identify the testcase payload in the snapshot
@@ -39,7 +37,7 @@ import (
 // changes shape; the envelope's schema fingerprint enforces this.
 const (
 	Kind    = "testcase"
-	Version = 2
+	Version = 3
 )
 
 // ChaosName selects the protocol fuzzer workload instead of a SPLASH
@@ -74,18 +72,17 @@ type Expect struct {
 	CSVRow string
 }
 
-// Case is one replayable run.
+// Case is one replayable run: a harness.Cell — the run a sweep cell
+// describes — plus what a sweep cell lacks: the chaos fuzzer's knobs,
+// the fuzz axes' machine overrides, an embedded checkpoint and the
+// recorded expectations. A case of a registered workload without
+// overrides is exactly the sweep's cell, so it reproduces the sweep's
+// CSV row.
 type Case struct {
-	Name     string
-	Workload string // a registered workload name, or ChaosName
-	Size     string `json:",omitempty"` // workloads.ParseSize spelling (default mini)
-	Policy   string // policy.ByName spelling
+	Name string
+	harness.Cell
 
-	// Params are workload parameter overrides (the registry's
-	// key=value knobs, e.g. kv's keys/ops/zipf). Ignored for chaos.
-	Params map[string]string `json:",omitempty"`
-
-	// Chaos knobs (ignored for SPLASH workloads).
+	// Chaos knobs (App is ChaosName; ignored for registered workloads).
 	Seed int64 `json:",omitempty"`
 	Ops  int   `json:",omitempty"` // per-proc op count; 0 = chaos default
 
@@ -95,11 +92,7 @@ type Case struct {
 
 	// Configuration knobs mirroring the fuzz axes.
 	HardwareSync     bool   `json:",omitempty"`
-	DRAMPIT          bool   `json:",omitempty"` // PIT at DRAM speed (AccessTime 10)
-	PageCacheCaps    []int  `json:",omitempty"` // explicit per-node caps for capped policies
 	DynBothThreshold uint64 `json:",omitempty"`
-	FaultSpec        string `json:",omitempty"` // fault.ParseSpec syntax
-	SampleEvery      int64  `json:",omitempty"` // interval metric samples every N cycles
 
 	// CheckpointAt is the sim-time target the embedded checkpoint was
 	// requested at (the capture lands on the first quiescent barrier
@@ -123,43 +116,31 @@ func chaosDefaults() core.Config {
 	return cfg
 }
 
-func capped(polName string) bool {
-	return polName != "SCOMA" && polName != "LANUMA"
-}
-
-// Config builds the machine configuration the case describes.
+// Config builds the machine configuration the case describes: the
+// cell's machine (on the fuzzer's machine for chaos cases) with the
+// case's overrides applied.
 func (c *Case) Config() (core.Config, error) {
 	var cfg core.Config
-	if c.Workload == ChaosName {
-		cfg = chaosDefaults()
+	var err error
+	if c.App == ChaosName {
+		cfg, err = c.Cell.ConfigOn(chaosDefaults())
 	} else {
-		size, err := c.size()
-		if err != nil {
-			return cfg, err
-		}
-		cfg = workloads.ConfigForSize(size)
+		cfg, err = c.Cell.Config()
 	}
-	pol, err := policy.ByName(c.Policy)
 	if err != nil {
 		return cfg, err
 	}
-	if db, ok := pol.(policy.DynBoth); ok && c.DynBothThreshold > 0 {
+	if db, ok := cfg.Policy.(policy.DynBoth); ok && c.DynBothThreshold > 0 {
 		db.Threshold = c.DynBothThreshold
-		pol = db
+		cfg.Policy = db
 	}
-	cfg.Policy = pol
 	if c.Nodes > 0 {
 		cfg.Nodes = c.Nodes
 	}
 	if c.Procs > 0 {
 		cfg.Node.Procs = c.Procs
 	}
-	switch {
-	case !capped(pol.Name()):
-		// Uncapped policies ignore page-cache caps.
-	case c.PageCacheCaps != nil:
-		cfg.PageCacheCaps = c.PageCacheCaps
-	case c.Workload == ChaosName:
+	if c.App == ChaosName && cfg.PageCacheCaps == nil && harness.Capped(cfg.Policy.Name()) {
 		// The fuzz harness default: tiny caps on every node.
 		caps := make([]int, cfg.Nodes)
 		for i := range caps {
@@ -170,49 +151,20 @@ func (c *Case) Config() (core.Config, error) {
 	if c.HardwareSync {
 		cfg.HardwareSync = true
 	}
-	if c.DRAMPIT {
-		cfg.Node.PITConfig.AccessTime = 10
-	}
-	if c.FaultSpec != "" {
-		plan, err := fault.ParseSpec(c.FaultSpec)
-		if err != nil {
-			return cfg, err
-		}
-		cfg.Faults = plan
-	}
 	if err := cfg.Validate(); err != nil {
 		return cfg, err
 	}
 	return cfg, nil
 }
 
-func (c *Case) size() (workloads.Size, error) {
-	if c.Size == "" {
-		return workloads.MiniSize, nil
-	}
-	return harness.ParseSize(c.Size)
-}
-
-// NewWorkload builds a fresh workload instance (workloads carry Setup
-// state, so every run needs its own).
-func (c *Case) NewWorkload() (core.Workload, error) {
-	if c.Workload == ChaosName {
+// Workload builds a fresh workload instance (workloads carry Setup
+// state, so every run needs its own): the chaos fuzzer, or the cell's
+// app.
+func (c *Case) Workload() (core.Workload, error) {
+	if c.App == ChaosName {
 		return core.ChaosWorkloadOps(c.Seed, c.Ops), nil
 	}
-	size, err := c.size()
-	if err != nil {
-		return nil, err
-	}
-	return workloads.NewWorkload(c.Workload, size, workloads.Params(c.Params))
-}
-
-// appLabel renders the case's cell label exactly as the sweep CSV
-// does: the canonical app spec (name plus sorted non-default params).
-func (c *Case) appLabel() (string, error) {
-	if c.Workload == ChaosName {
-		return c.Workload, nil
-	}
-	return harness.AppLabel(c.Workload, workloads.Params(c.Params))
+	return c.Cell.Workload()
 }
 
 // Build assembles a fresh machine + workload pair for the case — the
@@ -234,7 +186,7 @@ func (c *Case) build() (*core.Machine, core.Workload, error) {
 	if c.SampleEvery > 0 {
 		m.SampleMetrics(sim.Time(c.SampleEvery))
 	}
-	w, err := c.NewWorkload()
+	w, err := c.Workload()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -254,11 +206,7 @@ func (c *Case) outcome(m *core.Machine, res core.Results) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	label, err := c.appLabel()
-	if err != nil {
-		return nil, err
-	}
-	ex := m.ExportMetrics(label, res.Policy)
+	ex := m.ExportMetrics(c.App, res.Policy)
 	var mb bytes.Buffer
 	if err := ex.WriteJSON(&mb); err != nil {
 		return nil, err
@@ -270,7 +218,7 @@ func (c *Case) outcome(m *core.Machine, res core.Results) (*Outcome, error) {
 			Cycles:        int64(res.Cycles),
 			ResultsSHA256: snapshot.HashBytes(rj),
 			MetricsSHA256: snapshot.HashBytes(mb.Bytes()),
-			CSVRow:        harness.FormatRow(label, res.Policy, res),
+			CSVRow:        harness.FormatRow(c.App, res.Policy, res),
 		},
 	}, nil
 }
@@ -328,9 +276,16 @@ func (c *Case) Run() (*Outcome, error) {
 // Create executes the case, records the expected outcome, captures the
 // embedded checkpoint when CheckpointAt is set, and self-checks that
 // the replay path reproduces the full run before the case is handed
-// out. A CheckpointAt that lands on no quiescent barrier fill surfaces
-// as an error wrapping core.ErrNoQuiescentFill.
+// out. A capped cell on a registered workload without caps is sized
+// first (harness.Cell.Sized at the paper's 0.70) and records the caps,
+// so the case replays the sweep's cell. A CheckpointAt that lands on
+// no quiescent barrier fill surfaces as an error wrapping
+// core.ErrNoQuiescentFill.
 func Create(c *Case) error {
+	var err error
+	if c.Cell, err = c.Cell.Sized(0); err != nil {
+		return fmt.Errorf("testcase %s: sizing pass: %w", c.Name, err)
+	}
 	m, w, err := c.build()
 	if err != nil {
 		return fmt.Errorf("testcase %s: %w", c.Name, err)
@@ -418,8 +373,8 @@ func diffExpect(path string, got, want *Expect) []string {
 // embedded checkpoint runs to megabytes of JSON otherwise. Read (via
 // snapshot.Decode) accepts both gzipped and plain streams.
 func Write(w io.Writer, c *Case) error {
-	if c.Name == "" || c.Workload == "" || c.Policy == "" {
-		return fmt.Errorf("testcase: name, workload and policy are required")
+	if c.Name == "" || c.App == "" || c.Policy == "" {
+		return fmt.Errorf("testcase: name, app and policy are required")
 	}
 	return snapshot.EncodeGzip(w, Kind, Version, c)
 }

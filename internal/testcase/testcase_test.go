@@ -4,7 +4,11 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"prism/internal/harness"
+	"prism/workloads"
 )
 
 // TestChaosCaseCreateVerify exercises the full lifecycle on the chaos
@@ -13,8 +17,7 @@ import (
 func TestChaosCaseCreateVerify(t *testing.T) {
 	c := &Case{
 		Name:         "chaos-lifecycle",
-		Workload:     ChaosName,
-		Policy:       "SCOMA",
+		Cell:         harness.Cell{App: ChaosName, Policy: "SCOMA"},
 		Seed:         1,
 		Ops:          400,
 		CheckpointAt: 1,
@@ -51,20 +54,22 @@ func TestChaosCaseCreateVerify(t *testing.T) {
 }
 
 // TestSplashCaseCreateVerify runs the lifecycle on a real SPLASH
-// kernel at mini size, checkpoint embedded.
+// kernel at mini size, checkpoint embedded. The capped policy is sized
+// by Create, so the case is a real Dyn-FCFS run.
 func TestSplashCaseCreateVerify(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full SPLASH lifecycle in -short mode")
 	}
 	c := &Case{
 		Name:         "fft-mini",
-		Workload:     "fft",
-		Size:         "mini",
-		Policy:       "Dyn-FCFS",
+		Cell:         harness.Cell{App: "fft", Size: "mini", Policy: "Dyn-FCFS"},
 		CheckpointAt: 1,
 	}
 	if err := Create(c); err != nil {
 		t.Fatal(err)
+	}
+	if len(c.Caps) == 0 {
+		t.Fatal("Create recorded no page-cache caps for a capped policy")
 	}
 	if _, err := c.Verify(); err != nil {
 		t.Fatal(err)
@@ -74,7 +79,7 @@ func TestSplashCaseCreateVerify(t *testing.T) {
 // TestExpectDivergenceDetected corrupts a recorded expectation and
 // checks Verify reports it.
 func TestExpectDivergenceDetected(t *testing.T) {
-	c := &Case{Name: "chaos-diverge", Workload: ChaosName, Policy: "SCOMA", Seed: 3, Ops: 200}
+	c := &Case{Name: "chaos-diverge", Cell: harness.Cell{App: ChaosName, Policy: "SCOMA"}, Seed: 3, Ops: 200}
 	if err := Create(c); err != nil {
 		t.Fatal(err)
 	}
@@ -87,6 +92,9 @@ func TestExpectDivergenceDetected(t *testing.T) {
 // TestCorpusReplays is the regression gate over the committed corpus:
 // every .prismcase under testdata/cases must verify — full rerun and,
 // where a checkpoint is embedded, restore + resume — bit-identically.
+// A case of a capped policy on a registered workload must also record
+// the row a sweep of that app and policy produces: the case is the
+// sweep's cell, sized the same way.
 func TestCorpusReplays(t *testing.T) {
 	dir := filepath.Join("..", "..", "testdata", "cases")
 	entries, err := os.ReadDir(dir)
@@ -111,6 +119,20 @@ func TestCorpusReplays(t *testing.T) {
 			if _, err := c.Verify(); err != nil {
 				t.Fatal(err)
 			}
+			name, _, _ := strings.Cut(c.App, ":")
+			if _, registered := workloads.Lookup(name); registered && harness.Capped(c.Policy) {
+				runs, err := harness.Run(harness.Options{
+					Spec:    harness.Spec{Size: c.Size, Apps: []string{c.App}, Policies: []string{c.Policy}},
+					Workers: 1,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := harness.FormatRow(runs[0].App, c.Policy, runs[0].ByPol[c.Policy])
+				if c.Expect.CSVRow != want {
+					t.Errorf("case records\n  %s\nthe sweep's cell is\n  %s", c.Expect.CSVRow, want)
+				}
+			}
 		})
 	}
 	if n == 0 {
@@ -124,22 +146,24 @@ func TestCorpusReplays(t *testing.T) {
 // run.
 func TestMinimizeShrinks(t *testing.T) {
 	c := &Case{
-		Name:         "shrink-me",
-		Workload:     ChaosName,
-		Policy:       "Dyn-Both",
+		Name: "shrink-me",
+		Cell: harness.Cell{
+			App:         ChaosName,
+			Policy:      "Dyn-Both",
+			PITAccess:   10,
+			Faults:      "seed=7,drop=0.05",
+			SampleEvery: 1000,
+		},
 		Seed:         7,
 		Ops:          1600,
 		HardwareSync: true,
-		DRAMPIT:      true,
-		FaultSpec:    "seed=7,drop=0.05",
-		SampleEvery:  1000,
 	}
 	fails := func(c *Case) bool { return c.Seed == 7 && c.Ops >= 100 }
 	m := Minimize(c, fails)
 	if m.Ops < 100 || m.Ops >= 200 {
 		t.Errorf("ops not minimized: %d", m.Ops)
 	}
-	if m.FaultSpec != "" || m.HardwareSync || m.DRAMPIT || m.SampleEvery != 0 {
+	if m.Faults != "" || m.HardwareSync || m.PITAccess != 0 || m.SampleEvery != 0 {
 		t.Errorf("knobs not cleared: %+v", m)
 	}
 	if m.Policy != "SCOMA" {
@@ -164,7 +188,7 @@ func TestMinimizeShrinks(t *testing.T) {
 // TestMinimizeNonFailure: a passing case comes back (stripped) rather
 // than being shrunk into something unrelated.
 func TestMinimizeNonFailure(t *testing.T) {
-	c := &Case{Name: "ok", Workload: ChaosName, Policy: "SCOMA", Seed: 1, Ops: 800}
+	c := &Case{Name: "ok", Cell: harness.Cell{App: ChaosName, Policy: "SCOMA"}, Seed: 1, Ops: 800}
 	m := Minimize(c, func(*Case) bool { return false })
 	if m.Ops != 800 {
 		t.Errorf("non-failing case was shrunk: ops=%d", m.Ops)

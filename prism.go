@@ -195,14 +195,6 @@ func WithConfig(mut func(*Config)) Option {
 	})
 }
 
-// DefaultConfig returns the paper's 32-processor machine configuration.
-//
-// Deprecated: construct machines with New and functional options; use
-// WithConfig for fields without a dedicated option. DefaultConfig
-// remains for code that builds a Config explicitly and passes it to
-// New(cfg), which keeps working.
-func DefaultConfig() Config { return core.DefaultConfig() }
-
 // PolicyByName returns one of the paper's six policies: "SCOMA",
 // "LANUMA", "SCOMA-70", "Dyn-FCFS", "Dyn-Util", "Dyn-LRU".
 func PolicyByName(name string) (Policy, error) { return policy.ByName(name) }

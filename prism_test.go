@@ -11,7 +11,12 @@ import (
 )
 
 func TestDefaultConfigIsPaperMachine(t *testing.T) {
-	cfg := prism.DefaultConfig()
+	// New with no options builds the default machine; WithConfig sees
+	// its configuration.
+	var cfg prism.Config
+	if _, err := prism.New(prism.WithConfig(func(c *prism.Config) { cfg = *c })); err != nil {
+		t.Fatal(err)
+	}
 	if cfg.Nodes != 8 || cfg.Node.Procs != 4 {
 		t.Fatalf("machine %dx%d, want 8x4", cfg.Nodes, cfg.Node.Procs)
 	}

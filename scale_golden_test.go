@@ -95,11 +95,11 @@ func TestScaleSweepMatchesGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("dc64 sweep in -short mode")
 	}
-	runs, err := harness.Run(harness.Options{
-		Size:     workloads.DC64Size,
+	runs, err := harness.Run(harness.Options{Spec: harness.Spec{
+		Size:     workloads.DC64Size.String(),
 		Apps:     scaleApps,
 		Policies: []string{"SCOMA", "Dyn-LRU"},
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}

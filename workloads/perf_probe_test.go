@@ -21,7 +21,7 @@ func TestPerfProbe(t *testing.T) {
 				cfg := ConfigForSize(CISize)
 				cfg.Policy = prism.MustPolicy(pol)
 				m, _ := prism.New(cfg)
-				w, _ := ByName(name, CISize)
+				w, _ := NewWorkload(name, CISize, nil)
 				start := time.Now()
 				res, err := m.Run(w)
 				if err != nil {

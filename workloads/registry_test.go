@@ -23,17 +23,17 @@ func TestRegistryWrapperEquivalence(t *testing.T) {
 		}
 	}
 	for _, spelling := range []string{"barnes", "Barnes", "FFT", "Water-Nsq", "waternsq", "waterspa", "LU"} {
-		w, err := ByName(spelling, MiniSize)
+		w, err := NewWorkload(spelling, MiniSize, nil)
 		if err != nil {
-			t.Errorf("ByName(%q): %v", spelling, err)
+			t.Errorf("NewWorkload(%q): %v", spelling, err)
 		} else if w == nil {
-			t.Errorf("ByName(%q): nil workload", spelling)
+			t.Errorf("NewWorkload(%q): nil workload", spelling)
 		}
 	}
 }
 
 func TestRegistryUnknownWorkload(t *testing.T) {
-	_, err := ByName("no-such-workload", MiniSize)
+	_, err := NewWorkload("no-such-workload", MiniSize, nil)
 	if !errors.Is(err, ErrUnknownWorkload) {
 		t.Fatalf("got %v, want ErrUnknownWorkload", err)
 	}
@@ -58,7 +58,7 @@ func TestRegistryUnknownParam(t *testing.T) {
 }
 
 func TestRegistryUnsupportedSize(t *testing.T) {
-	_, err := ByName("fft", DC64Size)
+	_, err := NewWorkload("fft", DC64Size, nil)
 	if !errors.Is(err, ErrUnsupportedSize) {
 		t.Fatalf("got %v, want ErrUnsupportedSize", err)
 	}

@@ -25,6 +25,7 @@ import (
 	"strings"
 
 	"prism"
+	"prism/internal/core"
 	"prism/internal/mem"
 )
 
@@ -102,7 +103,7 @@ func ParseSize(name string) (Size, error) {
 // so page-cache policies feel real pressure at traffic-workload
 // footprints.
 func ConfigForSize(s Size) prism.Config {
-	cfg := prism.DefaultConfig()
+	cfg := core.DefaultConfig()
 	switch s {
 	case PaperSize:
 		cfg.Node.L1.Size = 8 << 10
@@ -150,14 +151,6 @@ func init() {
 		New: wrap(func(s Size) prism.Workload { return NewWaterSpa(s) })})
 }
 
-// ByName builds the named workload at the given size with default
-// parameters. Names are case-insensitive; the paper's kernels answer
-// to their Table 2 spellings (barnes, fft, lu, mp3d, ocean, radix,
-// water-nsq, water-spa).
-func ByName(name string, size Size) (prism.Workload, error) {
-	return NewWorkload(name, size, nil)
-}
-
 // Names lists the paper's workloads in Table 2 order — the default
 // sweep set. AllNames includes the traffic-shaped extras.
 func Names() []string {
@@ -175,19 +168,6 @@ func AllNames() []string {
 	var out []string
 	for _, d := range regOrder {
 		out = append(out, d.Name)
-	}
-	return out
-}
-
-// All builds every paper workload at the given size.
-func All(size Size) []prism.Workload {
-	var out []prism.Workload
-	for _, n := range Names() {
-		w, err := ByName(n, size)
-		if err != nil {
-			panic(err)
-		}
-		out = append(out, w)
 	}
 	return out
 }
