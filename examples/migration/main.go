@@ -11,7 +11,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"prism"
 	"prism/internal/mem"
@@ -57,35 +59,50 @@ func (w *skewWL) Run(ctx *prism.Ctx) {
 	ctx.EndParallel()
 }
 
-func run(withDaemon bool) (prism.Results, int) {
+func run(withDaemon bool) (prism.Results, int, error) {
 	cfg := workloads.ConfigForSize(workloads.CISize)
 	cfg.Policy = prism.MustPolicy("LANUMA") // CC-NUMA style: placement matters most
 	m, err := prism.New(cfg)
 	if err != nil {
-		log.Fatal(err)
+		return prism.Results{}, 0, err
 	}
 	if withDaemon {
 		prism.AttachMigration(m, 50_000, prism.DefaultMigrationPolicy)
 	}
 	res, err := m.Run(&skewWL{})
 	if err != nil {
-		log.Fatal(err)
+		return prism.Results{}, 0, err
 	}
-	return res, m.Reg.MigratedPages()
+	return res, m.Reg.MigratedPages(), nil
+}
+
+// report runs the workload with fixed homes and with the migration
+// daemon, and writes the comparison to w.
+func report(w io.Writer) error {
+	fixed, _, err := run(false)
+	if err != nil {
+		return err
+	}
+	migr, pages, err := run(true)
+	if err != nil {
+		return err
+	}
+
+	fmt.Fprintln(w, "LA-NUMA (CC-NUMA-style) pages, hot node 5, homes round-robin:")
+	fmt.Fprintf(w, "  fixed homes:    cycles=%-12d remote misses=%-8d\n", fixed.Cycles, fixed.RemoteMisses)
+	fmt.Fprintf(w, "  with migration: cycles=%-12d remote misses=%-8d forwards=%d migrated pages=%d\n",
+		migr.Cycles, migr.RemoteMisses, migr.Forwards, pages)
+	if migr.Cycles < fixed.Cycles {
+		fmt.Fprintf(w, "  speedup: %.2fx — the hot pages' homes moved to node 5, lazily.\n",
+			float64(fixed.Cycles)/float64(migr.Cycles))
+	} else {
+		fmt.Fprintln(w, "  (no speedup at this scale — try more loops)")
+	}
+	return nil
 }
 
 func main() {
-	fixed, _ := run(false)
-	migr, pages := run(true)
-
-	fmt.Println("LA-NUMA (CC-NUMA-style) pages, hot node 5, homes round-robin:")
-	fmt.Printf("  fixed homes:    cycles=%-12d remote misses=%-8d\n", fixed.Cycles, fixed.RemoteMisses)
-	fmt.Printf("  with migration: cycles=%-12d remote misses=%-8d forwards=%d migrated pages=%d\n",
-		migr.Cycles, migr.RemoteMisses, migr.Forwards, pages)
-	if migr.Cycles < fixed.Cycles {
-		fmt.Printf("  speedup: %.2fx — the hot pages' homes moved to node 5, lazily.\n",
-			float64(fixed.Cycles)/float64(migr.Cycles))
-	} else {
-		fmt.Println("  (no speedup at this scale — try more loops)")
+	if err := report(os.Stdout); err != nil {
+		log.Fatal(err)
 	}
 }

@@ -87,6 +87,11 @@ type Cache struct {
 	// frameDirty is InvalidateFrame's reused result buffer.
 	frameDirty []mem.PAddr
 
+	// filter, when set, counts this cache's valid lines together with
+	// the other caches of its node (see Filter). Every method that turns
+	// a line valid or Invalid reports it.
+	filter *Filter
+
 	Stats Stats
 }
 
@@ -236,6 +241,9 @@ func (c *Cache) Insert(pa mem.PAddr, st State) Victim {
 	set, tag := c.index(pa)
 	c.clock++
 	if i := c.find(set, tag); i >= 0 {
+		if st == Invalid {
+			c.lineGone(pa)
+		}
 		c.lines[i].state = st
 		c.lines[i].lru = c.clock
 		return Victim{}
@@ -260,8 +268,12 @@ func (c *Cache) Insert(pa mem.PAddr, st State) Victim {
 		if v.Dirty {
 			c.Stats.Writebacks++
 		}
+		c.lineGone(v.Addr)
 	}
 	*l = line{tag: tag, state: st, lru: c.clock}
+	if st != Invalid {
+		c.lineAdded(pa)
+	}
 	return v
 }
 
@@ -278,6 +290,9 @@ func (c *Cache) SetState(pa mem.PAddr, st State) bool {
 	if i < 0 {
 		return false
 	}
+	if st == Invalid {
+		c.lineGone(pa)
+	}
 	c.lines[i].state = st
 	return true
 }
@@ -291,6 +306,7 @@ func (c *Cache) Invalidate(pa mem.PAddr) State {
 	}
 	st := c.lines[i].state
 	c.lines[i].state = Invalid
+	c.lineGone(pa)
 	return st
 }
 
@@ -309,6 +325,7 @@ func (c *Cache) InvalidateFrame(g mem.Geometry, f mem.FrameID) []mem.PAddr {
 				dirty = append(dirty, pa)
 			}
 			c.lines[i].state = Invalid
+			c.lineGone(pa)
 		}
 	}
 	c.frameDirty = dirty
@@ -318,6 +335,9 @@ func (c *Cache) InvalidateFrame(g mem.Geometry, f mem.FrameID) []mem.PAddr {
 // Flush invalidates everything, returning the count of dirty lines
 // discarded. Used only by tests and machine reset.
 func (c *Cache) Flush() int {
+	if c.filter != nil {
+		c.countValid(false)
+	}
 	n := 0
 	for i := range c.lines {
 		if c.lines[i].state == Modified {

@@ -35,10 +35,16 @@ func (c *Cache) ImportState(s CacheState) error {
 	if len(s.Lines) != len(c.lines) {
 		return fmt.Errorf("cache %s: snapshot has %d lines, cache has %d (geometry mismatch)", c.name, len(s.Lines), len(c.lines))
 	}
+	if c.filter != nil {
+		c.countValid(false)
+	}
 	c.clock = s.Clock
 	c.Stats = s.Stats
 	for i, l := range s.Lines {
 		c.lines[i] = line{tag: l.Tag, state: l.State, lru: l.LRU}
+	}
+	if c.filter != nil {
+		c.countValid(true)
 	}
 	return nil
 }

@@ -22,10 +22,14 @@ func (m *Machine) CheckInvariants() error {
 	}
 
 	// 1. No dangling transactions anywhere, no kernel serving a stale
-	// software-TLB translation, and every kernel's client list exact.
+	// software-TLB translation, every kernel's client list exact, L1
+	// inclusive in L2 and every node's snoop filter exact.
 	for _, n := range m.Nodes {
 		if s := n.Ctrl.DebugState(); s != "" {
 			return fmt.Errorf("core: dangling transactions:\n%s", s)
+		}
+		if err := n.CheckCaches(); err != nil {
+			return fmt.Errorf("core: %w", err)
 		}
 		if err := n.Kern.CheckTLB(); err != nil {
 			return err

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"strings"
 
+	"prism/internal/cache"
 	"prism/internal/coherence"
 	"prism/internal/fault"
 	"prism/internal/ipc"
@@ -88,6 +89,11 @@ func (c *Config) Validate() error {
 	// 16-bit VSID space.
 	if nprocs := c.Nodes * c.Node.Procs; int(privateBase)+nprocs+1 > (1<<16)-1024 {
 		return fmt.Errorf("core: %d processors exhaust the 16-bit VSID space", nprocs)
+	}
+	// The node's snoop filter counts every L2 line in 16 bits.
+	if l2 := c.Node.L2.Size / c.Node.L2.LineSize; c.Node.Procs*l2 > cache.MaxFilterLines {
+		return fmt.Errorf("core: %d processors with %d L2 lines each exceed the snoop filter's %d lines per node",
+			c.Node.Procs, l2, cache.MaxFilterLines)
 	}
 	if c.Policy == nil {
 		return fmt.Errorf("core: nil page-mode policy")

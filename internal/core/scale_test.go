@@ -154,3 +154,20 @@ func TestValidateNodeCap(t *testing.T) {
 		t.Fatalf("65536 procs: got %v, want VSID exhaustion error", err)
 	}
 }
+
+// TestValidateSnoopFilterCap: a node whose L2s hold 65,536 lines in
+// total would overflow the snoop filter's 16-bit counters, so the
+// configuration is refused with a one-line error; one line fewer is
+// accepted.
+func TestValidateSnoopFilterCap(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Nodes = 1
+	cfg.Node.Procs = 128 // 128 × 512 lines of 32 KB
+	if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "snoop filter") || strings.Contains(err.Error(), "\n") {
+		t.Fatalf("65,536 L2 lines per node: got %v, want a one-line snoop filter error", err)
+	}
+	cfg.Node.Procs = 127
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("65,024 L2 lines per node: %v", err)
+	}
+}

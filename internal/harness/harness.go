@@ -93,14 +93,19 @@ func (o *Options) logf(format string, args ...interface{}) {
 
 // AppRun holds one application's results across policies.
 type AppRun struct {
-	App   string
-	ByPol map[string]prism.Results
-	Caps  []int // per-node page-cache caps used by capped policies
+	App string
+	// Sizing is the app's SCOMA sizing run: Figure 7's normalization
+	// base and the source of Caps. It is ByPol["SCOMA"] too when SCOMA
+	// was requested.
+	Sizing prism.Results
+	ByPol  map[string]prism.Results // the requested policies' results
+	Caps   []int                    // per-node page-cache caps used by capped policies
 }
 
-// runOne executes one sweep cell and logs its progress line.
-func (o *Options) runOne(c Cell) (prism.Results, error) {
-	res, err := RunCell(c, o.MetricsDir)
+// runOne executes one sweep cell, writing its telemetry export to
+// metricsDir unless that is empty, and logs its progress line.
+func (o *Options) runOne(c Cell, metricsDir string) (prism.Results, error) {
+	res, err := RunCell(c, metricsDir)
 	if err != nil {
 		return res, err
 	}
@@ -112,7 +117,8 @@ func (o *Options) runOne(c Cell) (prism.Results, error) {
 // Run executes the full sweep: for each app, a SCOMA pass sizes the
 // page cache (CapFraction × per-node max client frames), then every
 // requested policy runs. The SCOMA pass is reused as the SCOMA result
-// when requested.
+// when requested; otherwise it is kept only as AppRun.Sizing, so the
+// CSV and the telemetry exports hold the requested policies alone.
 //
 // The sweep runs on a worker pool (see parallel.go) in two waves:
 // pass 1 executes every app's SCOMA sizing run, pass 2 the remaining
@@ -140,7 +146,7 @@ func Run(opts Options) ([]AppRun, error) {
 func FormatFig7(runs []AppRun) string {
 	tb := metrics.NewTable(append([]string{"app"}, PolicyOrder...)...)
 	for _, ar := range runs {
-		base := ar.ByPol["SCOMA"].Cycles
+		base := ar.Sizing.Cycles
 		row := []string{ar.App}
 		for _, p := range PolicyOrder {
 			r, ok := ar.ByPol[p]
@@ -159,7 +165,7 @@ func FormatFig7(runs []AppRun) string {
 func FormatTable3(runs []AppRun) string {
 	tb := metrics.NewTable("app", "SCOMA frames", "LANUMA frames", "SCOMA util", "LANUMA util")
 	for _, ar := range runs {
-		s, l := ar.ByPol["SCOMA"], ar.ByPol["LANUMA"]
+		s, l := ar.Sizing, ar.ByPol["LANUMA"]
 		tb.Row(ar.App,
 			fmt.Sprintf("%d", s.RealFrames), fmt.Sprintf("%d", l.RealFrames),
 			fmt.Sprintf("%.3f", s.Utilization), fmt.Sprintf("%.3f", l.Utilization))
@@ -173,7 +179,7 @@ func FormatTable4(runs []AppRun) string {
 	tb := metrics.NewTable("app", "SCOMA", "LANUMA", "SCOMA-70", "page-outs")
 	for _, ar := range runs {
 		tb.Row(ar.App,
-			fmt.Sprintf("%d", ar.ByPol["SCOMA"].RemoteMisses),
+			fmt.Sprintf("%d", ar.Sizing.RemoteMisses),
 			fmt.Sprintf("%d", ar.ByPol["LANUMA"].RemoteMisses),
 			fmt.Sprintf("%d", ar.ByPol["SCOMA-70"].RemoteMisses),
 			fmt.Sprintf("%d", ar.ByPol["SCOMA-70"].ClientPageOuts))
@@ -246,9 +252,6 @@ func RunPITSweep(opts Options) ([]PITRow, error) {
 	if err := opts.prepare(); err != nil {
 		return nil, err
 	}
-	// Both PIT cells are the same app × policy, so per-cell export
-	// files would collide; the PIT study never uses the exports.
-	opts.MetricsDir = ""
 	return runPITPool(&opts)
 }
 

@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"fmt"
+	"os"
 	"strings"
 	"testing"
 )
@@ -147,5 +149,43 @@ func TestCellConfigRefusesUnsizedCappedCell(t *testing.T) {
 		if _, err := c.Config(); err != nil {
 			t.Errorf("%+v: %v", c, err)
 		}
+	}
+}
+
+// TestSweepReportsOnlyRequestedPolicies: a sweep without SCOMA still
+// runs the SCOMA sizing pass and normalizes Figure 7 to it, but the CSV
+// and the telemetry exports hold the requested policy alone.
+func TestSweepReportsOnlyRequestedPolicies(t *testing.T) {
+	dir := t.TempDir()
+	runs, err := Run(Options{
+		Spec:       Spec{Size: "mini", Apps: []string{"lu"}, Policies: []string{"Dyn-FCFS"}},
+		Workers:    1,
+		MetricsDir: dir,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := strings.Split(strings.TrimSpace(CSVString(runs)), "\n")[1:]
+	if len(rows) != 1 || !strings.HasPrefix(rows[0], "lu,Dyn-FCFS,") {
+		t.Errorf("CSV rows %q, want one lu,Dyn-FCFS row", rows)
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var files []string
+	for _, e := range ents {
+		files = append(files, e.Name())
+	}
+	if len(files) != 1 || files[0] != "lu_Dyn-FCFS.json" {
+		t.Errorf("metrics exports %v, want [lu_Dyn-FCFS.json]", files)
+	}
+	ar := runs[0]
+	if ar.Sizing.Cycles == 0 {
+		t.Fatal("no sizing run recorded")
+	}
+	want := fmt.Sprintf("%.2f", float64(ar.ByPol["Dyn-FCFS"].Cycles)/float64(ar.Sizing.Cycles))
+	if fig := FormatFig7(runs); !strings.Contains(fig, want) {
+		t.Errorf("Figure 7 does not normalize Dyn-FCFS to the sizing run (%s):\n%s", want, fig)
 	}
 }

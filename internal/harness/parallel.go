@@ -12,6 +12,7 @@ package harness
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -87,17 +88,27 @@ func runPool(o *Options) ([]AppRun, error) {
 	w := o.workers()
 	runs := make([]AppRun, len(o.Apps))
 
-	// Pass 1: SCOMA sizing for every app.
+	// Pass 1: SCOMA sizing for every app. The sizing run is a result
+	// (and writes its export) only when SCOMA was requested.
 	o.logf("pass 1: SCOMA sizing, %d apps on %d workers", len(o.Apps), w)
+	wantSCOMA := slices.Contains(o.Policies, "SCOMA")
+	sizingMetrics := ""
+	if wantSCOMA {
+		sizingMetrics = o.MetricsDir
+	}
 	sized, err := forEachIndexed(ctx, len(o.Apps), w, func(i int) error {
-		scoma, err := o.runOne(o.Cell(o.Apps[i], "SCOMA", nil))
+		scoma, err := o.runOne(o.Cell(o.Apps[i], "SCOMA", nil), sizingMetrics)
 		if err != nil {
 			return err
 		}
 		runs[i] = AppRun{
-			App:   o.Apps[i],
-			ByPol: map[string]prism.Results{"SCOMA": scoma},
-			Caps:  capsFor(scoma, o.CapFraction),
+			App:    o.Apps[i],
+			Sizing: scoma,
+			ByPol:  map[string]prism.Results{},
+			Caps:   capsFor(scoma, o.CapFraction),
+		}
+		if wantSCOMA {
+			runs[i].ByPol["SCOMA"] = scoma
 		}
 		return nil
 	})
@@ -120,7 +131,7 @@ func runPool(o *Options) ([]AppRun, error) {
 	results := make([]prism.Results, len(cells))
 	ran, err := forEachIndexed(ctx, len(cells), w, func(i int) error {
 		c := cells[i]
-		res, err := o.runOne(o.Cell(o.Apps[c.app], o.Policies[c.pol], runs[c.app].Caps))
+		res, err := o.runOne(o.Cell(o.Apps[c.app], o.Policies[c.pol], runs[c.app].Caps), o.MetricsDir)
 		if err != nil {
 			return err
 		}
@@ -163,7 +174,9 @@ func runPITPool(o *Options) ([]PITRow, error) {
 		} else {
 			c.PITAccess = 10
 		}
-		res, err := o.runOne(c)
+		// Both cells of an app are the same app × policy, so export
+		// files would collide; the PIT study never uses them.
+		res, err := o.runOne(c, "")
 		if err != nil {
 			return err
 		}

@@ -81,6 +81,11 @@ type Node struct {
 	dataBus sim.Resource
 	memRes  sim.Resource
 
+	// l2Filter counts the lines every processor's L2 holds. L1 is
+	// inclusive in L2, so a zero bucket proves that no cache on the node
+	// holds the line, and the snooping paths skip their probes.
+	l2Filter *cache.Filter
+
 	// freeRetrieve pools Retrieve completion events (engine-confined,
 	// like every structure hanging off one engine).
 	freeRetrieve []*retrieveEvent
@@ -109,6 +114,7 @@ func New(e *sim.Engine, id mem.NodeID, geom mem.Geometry, tm *timing.T, cfg Conf
 	n.Ctrl = coherence.New(e, id, geom, tm, cfg.CtrlCfg, p, d, net, &n.memRes, n, router, kern)
 	kern.Bind(n.Ctrl, n)
 
+	n.l2Filter = cache.NewFilter(cfg.Procs*(cfg.L2.Size/cfg.L2.LineSize), cfg.L2.LineSize)
 	for i := 0; i < cfg.Procs; i++ {
 		pid := mem.ProcID(int(id)*cfg.Procs + i)
 		pr := &Proc{
@@ -120,6 +126,7 @@ func New(e *sim.Engine, id mem.NodeID, geom mem.Geometry, tm *timing.T, cfg Conf
 			tlb:     newTLB(cfg.TLBEntries),
 			quantum: cfg.Quantum,
 		}
+		pr.l2.ShareFilter(n.l2Filter)
 		pr.bind()
 		n.Procs = append(n.Procs, pr)
 	}
@@ -254,12 +261,17 @@ func (n *Node) resumeBus(p *Proc, t sim.Time, retranslate bool) {
 	n.e.AtEvent(t, &p.resumeEv)
 }
 
-// snoop probes every other processor's caches for la, applying
+// snoop probes the caches of every processor but the requester (all of
+// them for a controller's Retrieve, which passes nil) for la, applying
 // invalidations (write) or downgrades (read). It returns the strongest
-// state found and whether any copy was Modified.
+// state found and whether any copy was Modified. When the node's L2
+// filter proves that no cache holds la, there is nothing to probe.
 func (n *Node) snoop(requester *Proc, la mem.PAddr, write bool) (cache.State, bool) {
 	best := cache.Invalid
 	dirty := false
+	if !n.l2Filter.MayHold(la) {
+		return best, dirty
+	}
 	for _, q := range n.Procs {
 		if q == requester {
 			continue
@@ -328,31 +340,8 @@ func (n *Node) Retrieve(pa mem.PAddr, inval bool, done func(at sim.Time, dirty b
 	grant := n.addrBus.Acquire(t, n.tm.BusArb+n.tm.BusAddr)
 	t = grant + n.tm.BusArb + n.tm.BusAddr
 
-	dirty := false
-	found := false
-	for _, q := range n.Procs {
-		s1 := q.l1.Probe(pa)
-		s2 := q.l2.Probe(pa)
-		if s1 == cache.Invalid && s2 == cache.Invalid {
-			continue
-		}
-		found = true
-		if s1 == cache.Modified || s2 == cache.Modified {
-			dirty = true
-		}
-		if inval {
-			q.l1.Invalidate(pa)
-			q.l2.Invalidate(pa)
-		} else {
-			if s1 > cache.Shared {
-				q.l1.SetState(pa, cache.Shared)
-			}
-			if s2 > cache.Shared {
-				q.l2.SetState(pa, cache.Shared)
-			}
-		}
-	}
-	if found {
+	st, dirty := n.snoop(nil, pa, inval)
+	if st != cache.Invalid {
 		t += n.tm.Interv
 	}
 	if dirty {
@@ -414,6 +403,24 @@ func (n *Node) InvalidateFrameLines(f mem.FrameID) []int {
 	}
 	n.invOut = out
 	return out
+}
+
+// CheckCaches audits the node's cache hierarchy: every valid L1 line is
+// valid in the same processor's L2 (the inclusion the snoop filter
+// relies on), and every filter bucket equals a recount of the valid L2
+// lines. It returns the first violation as a one-line error.
+func (n *Node) CheckCaches() error {
+	l2s := make([]*cache.Cache, len(n.Procs))
+	for i, p := range n.Procs {
+		if err := p.l1.CheckIncludedIn(p.l2); err != nil {
+			return fmt.Errorf("node %d: %w", n.ID, err)
+		}
+		l2s[i] = p.l2
+	}
+	if err := n.l2Filter.Check(l2s...); err != nil {
+		return fmt.Errorf("node %d: %w", n.ID, err)
+	}
+	return nil
 }
 
 // TLBShootdown implements kernel.NodeHW: invalidate vp in every local

@@ -81,7 +81,7 @@ func TestTLBDeterministicEviction(t *testing.T) {
 }
 
 // mapTLB is the original map-backed TLB, kept as the oracle for the
-// flat-array one: a hit restamps the entry with a fresh clock value,
+// constant-time one: a hit restamps the entry with a fresh clock value,
 // and a full insert scans every entry for the minimum stamp.
 type mapTLB struct {
 	cap     int
@@ -171,31 +171,34 @@ func evicted(before, after TLBState) []mem.VPage {
 	return out
 }
 
-// TestTLBMatchesMapOracle drives the flat-array TLB and the map oracle
-// through identical seeded sequences of lookups, inserts of
+// TestTLBMatchesMapOracle drives the constant-time TLB and the map
+// oracle through identical seeded sequences of lookups, inserts of
 // non-resident pages (as every caller does), invalidations and
 // export/import round trips: hits, frames, evicted pages and exported
-// state must agree after every step.
+// state must agree after every step. Page universes run from a little
+// over twice the capacity to over four times it, and half the imports
+// are followed by an invalidation, so the index and the LRU list an
+// import rebuilds are edited at once.
 func TestTLBMatchesMapOracle(t *testing.T) {
-	for _, capacity := range []int{1, 2, 64} {
+	for _, tc := range []struct{ capacity, pages int }{{1, 5}, {2, 7}, {64, 131}, {64, 4*64 + 9}} {
+		capacity := tc.capacity
 		for seed := int64(1); seed <= 8; seed++ {
 			rng := rand.New(rand.NewSource(seed))
 			got, want := newTLB(capacity), newMapTLB(capacity)
-			// A page universe a little over twice the capacity, across
-			// two segments, so hits, misses and evictions all occur.
-			pages := 2*capacity + 3
+			// Pages across two segments, so hits, misses and evictions
+			// all occur.
 			page := func() mem.VPage {
-				n := rng.Intn(pages)
+				n := rng.Intn(tc.pages)
 				return mem.VPage{Seg: mem.VSID(1 + n%2), Page: uint32(n / 2)}
 			}
-			for step := 0; step < 2000; step++ {
+			for step := 0; step < 2500; step++ {
 				switch op := rng.Intn(16); {
 				case op < 11:
 					vp := page()
 					gf, gok := got.lookup(vp)
 					wf, wok := want.lookup(vp)
 					if gok != wok || gf != wf {
-						t.Fatalf("cap %d seed %d step %d: lookup %v = (%d, %v), oracle (%d, %v)", capacity, seed, step, vp, gf, gok, wf, wok)
+						t.Fatalf("cap %d pages %d seed %d step %d: lookup %v = (%d, %v), oracle (%d, %v)", capacity, tc.pages, seed, step, vp, gf, gok, wf, wok)
 					}
 					if gok {
 						break
@@ -206,22 +209,29 @@ func TestTLBMatchesMapOracle(t *testing.T) {
 					want.insert(vp, f)
 					ge, we := evicted(gb, got.exportState()), evicted(wb, want.exportState())
 					if !reflect.DeepEqual(ge, we) {
-						t.Fatalf("cap %d seed %d step %d: insert %v evicted %v, oracle %v", capacity, seed, step, vp, ge, we)
+						t.Fatalf("cap %d pages %d seed %d step %d: insert %v evicted %v, oracle %v", capacity, tc.pages, seed, step, vp, ge, we)
 					}
 				case op < 14:
 					vp := page()
 					got.invalidate(vp)
 					want.invalidate(vp)
 				default:
-					// Cross-import: each side restores the other's export.
+					// Cross-import: each side restores the other's export,
+					// then, half the time, both drop a resident page.
 					gs, ws := got.exportState(), want.exportState()
 					if err := got.importState(ws); err != nil {
-						t.Fatalf("cap %d seed %d step %d: import: %v", capacity, seed, step, err)
+						t.Fatalf("cap %d pages %d seed %d step %d: import: %v", capacity, tc.pages, seed, step, err)
 					}
 					want.importState(gs)
+					if es := ws.Entries; len(es) > 0 && rng.Intn(2) == 0 {
+						e := es[rng.Intn(len(es))]
+						vp := mem.VPage{Seg: e.Seg, Page: e.Page}
+						got.invalidate(vp)
+						want.invalidate(vp)
+					}
 				}
 				if g, w := got.exportState(), want.exportState(); !reflect.DeepEqual(g, w) {
-					t.Fatalf("cap %d seed %d step %d: state diverged:\n got %+v\nwant %+v", capacity, seed, step, g, w)
+					t.Fatalf("cap %d pages %d seed %d step %d: state diverged:\n got %+v\nwant %+v", capacity, tc.pages, seed, step, g, w)
 				}
 			}
 		}

@@ -517,77 +517,3 @@ func (p *Proc) fault(vp mem.VPage) {
 		panic(fmt.Sprintf("proc %d: unresolvable page fault on %v", p.ID, vp))
 	}
 }
-
-// tlb is a small fully-associative LRU TLB held in flat slot arrays:
-// packed page keys (mem.VPage.Key, 0 = empty slot), frames and LRU
-// stamps. Every hit and insert stamps its slot with a fresh clock++,
-// so stamps are unique and the minimum-stamp slot is the least
-// recently used entry. last remembers the most recently used slot, so
-// consecutive references to one page cost a single compare.
-type tlb struct {
-	keys   []uint64
-	frames []mem.FrameID
-	stamps []uint64
-	last   int
-	clock  uint64
-}
-
-func newTLB(capacity int) *tlb {
-	if capacity <= 0 {
-		capacity = 64
-	}
-	return &tlb{
-		keys:   make([]uint64, capacity),
-		frames: make([]mem.FrameID, capacity),
-		stamps: make([]uint64, capacity),
-	}
-}
-
-// find returns the slot holding key, or -1.
-func (t *tlb) find(key uint64) int {
-	for i, k := range t.keys {
-		if k == key {
-			return i
-		}
-	}
-	return -1
-}
-
-func (t *tlb) lookup(vp mem.VPage) (mem.FrameID, bool) {
-	key := vp.Key()
-	i := t.last
-	if t.keys[i] != key {
-		if i = t.find(key); i < 0 {
-			return 0, false
-		}
-		t.last = i
-	}
-	t.clock++
-	t.stamps[i] = t.clock
-	return t.frames[i], true
-}
-
-// insert installs a translation for a page that is not resident,
-// taking the first empty slot or, when the TLB is full, the least
-// recently used one.
-func (t *tlb) insert(vp mem.VPage, f mem.FrameID) {
-	slot := 0
-	for i, k := range t.keys {
-		if k == 0 {
-			slot = i
-			break
-		}
-		if t.stamps[i] < t.stamps[slot] {
-			slot = i
-		}
-	}
-	t.clock++
-	t.keys[slot], t.frames[slot], t.stamps[slot] = vp.Key(), f, t.clock
-	t.last = slot
-}
-
-func (t *tlb) invalidate(vp mem.VPage) {
-	if i := t.find(vp.Key()); i >= 0 {
-		t.keys[i] = 0
-	}
-}

@@ -91,11 +91,26 @@ func (t *tlb) importState(s TLBState) error {
 			}
 		}
 	}
+	// Entries take slots 0..n-1 in page order; which slot holds a page
+	// is not observable, since export sorts by page. The LRU list is
+	// rebuilt in stamp order, and last points at its head.
 	clear(t.keys)
+	clear(t.index)
+	t.reset(len(s.Entries))
+	order := make([]int32, len(s.Entries))
 	for i, e := range s.Entries {
-		t.keys[i] = mem.VPage{Seg: e.Seg, Page: e.Page}.Key()
-		t.frames[i] = e.Frame
-		t.stamps[i] = e.LRU
+		key := mem.VPage{Seg: e.Seg, Page: e.Page}.Key()
+		t.keys[i], t.frames[i], t.stamps[i] = key, e.Frame, e.LRU
+		t.index[t.probe(key)] = int32(i + 1)
+		order[i] = int32(i)
+	}
+	sort.Slice(order, func(a, b int) bool { return t.stamps[order[a]] < t.stamps[order[b]] })
+	for _, slot := range order {
+		t.pushFront(slot)
+	}
+	t.last = 0
+	if t.head >= 0 {
+		t.last = int(t.head)
 	}
 	t.clock = s.Clock
 	return nil

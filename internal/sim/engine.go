@@ -88,8 +88,12 @@ func (e *event) before(o *event) bool {
 // cycle. It must be a power of two (a slot is at&wheelMask) and a
 // multiple of 64 (the occupancy bitmap's word). Nearly every event a
 // fault-free machine schedules falls well within it (a network hop is
-// 120 cycles), so only a sliver of events reach the heap.
-const wheelSize = 4096
+// 120 cycles), so only a sliver of events reach the heap. It is twice
+// the recovery transport's default retransmission timeout
+// (fault.DefaultRTO), so a first retransmission timer, armed at the
+// message's NI injection time plus that timeout, lands in the wheel
+// with half the horizon to spare for NI queueing.
+const wheelSize = 8192
 
 const wheelMask = wheelSize - 1
 
