@@ -1,10 +1,11 @@
 // Benchmarks that regenerate every table and figure of the paper (at
-// MiniSize so the default `go test -bench=.` stays tractable — use
+// mini size so the default `go test -bench=.` stays tractable — use
 // cmd/prismbench -size ci|paper for full-scale regeneration), plus
-// ablation benches for the design choices DESIGN.md calls out.
+// ablation benches for the design choices DESIGN.md calls out. The
+// layer and machine benchmarks are in internal/benchsuite.
 //
-// Each bench prints its rows once (the series the paper reports) and
-// reports headline numbers as benchmark metrics.
+// Each bench prints its tables once and reports headline numbers as
+// benchmark metrics.
 package prism_test
 
 import (
@@ -29,17 +30,23 @@ func once(key, s string) {
 	}
 }
 
-// runApp executes one app×policy at mini size.
-func runApp(b *testing.B, app, pol string, caps []int) prism.Results {
+// runMini runs cell c at mini size, on its machine configuration as
+// tweak (when non-nil) changes it.
+func runMini(b *testing.B, c harness.Cell, tweak func(*prism.Config)) prism.Results {
 	b.Helper()
-	cfg := workloads.ConfigForSize(workloads.MiniSize)
-	cfg.Policy = prism.MustPolicy(pol)
-	cfg.PageCacheCaps = caps
+	c.Size = "mini"
+	cfg, err := c.Config()
+	if err != nil {
+		b.Fatal(err)
+	}
+	if tweak != nil {
+		tweak(&cfg)
+	}
 	m, err := prism.New(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	w, err := workloads.NewWorkload(app, workloads.MiniSize, nil)
+	w, err := c.Workload()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -48,18 +55,6 @@ func runApp(b *testing.B, app, pol string, caps []int) prism.Results {
 		b.Fatal(err)
 	}
 	return res
-}
-
-// capsFrom computes SCOMA-70 page-cache caps from a SCOMA pass.
-func capsFrom(res prism.Results) []int {
-	caps := make([]int, len(res.MaxClientFrames))
-	for i, c := range res.MaxClientFrames {
-		caps[i] = c * 7 / 10
-		if caps[i] < 1 {
-			caps[i] = 1
-		}
-	}
-	return caps
 }
 
 // BenchmarkTable1Latencies regenerates Table 1 (uncontended miss
@@ -87,119 +82,43 @@ func BenchmarkTable2Inventory(b *testing.B) {
 	}
 }
 
-// BenchmarkFig7 regenerates one Figure 7 row per application: the
-// six-policy normalized execution times.
+// BenchmarkFig7 regenerates Figure 7 and Tables 3–5 from one mini
+// sweep: the blocks `prismbench -exp fig7,table3,table4,table5 -size
+// mini` prints.
 func BenchmarkFig7(b *testing.B) {
-	for _, app := range workloads.Names() {
-		b.Run(app, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				scoma := runApp(b, app, "SCOMA", nil)
-				caps := capsFrom(scoma)
-				row := fmt.Sprintf("%-11s", app)
-				worst := 1.0
-				for _, pol := range harness.PolicyOrder {
-					var res prism.Results
-					switch pol {
-					case "SCOMA":
-						res = scoma
-					case "LANUMA":
-						res = runApp(b, app, pol, nil)
-					default:
-						res = runApp(b, app, pol, caps)
-					}
-					norm := float64(res.Cycles) / float64(scoma.Cycles)
-					if norm > worst {
-						worst = norm
-					}
-					row += fmt.Sprintf(" %9.2f", norm)
-				}
-				b.ReportMetric(worst, "worst-normalized-time")
-				once("Figure 7 row: "+app, row)
+	for i := 0; i < b.N; i++ {
+		runs, err := harness.Run(harness.Options{Spec: harness.Spec{Size: "mini"}})
+		if err != nil {
+			b.Fatal(err)
+		}
+		worst := 1.0
+		for _, ar := range runs {
+			for _, r := range ar.ByPol {
+				worst = max(worst, float64(r.Cycles)/float64(ar.Sizing.Cycles))
 			}
-		})
-	}
-}
-
-// BenchmarkTable3PageConsumption regenerates Table 3 (frames allocated
-// and utilization under SCOMA vs LANUMA).
-func BenchmarkTable3PageConsumption(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		out := fmt.Sprintf("%-11s %12s %12s %10s %10s\n", "app", "SCOMA frames", "LANUMA frames", "SCOMA util", "LANUMA util")
-		for _, app := range workloads.Names() {
-			s := runApp(b, app, "SCOMA", nil)
-			l := runApp(b, app, "LANUMA", nil)
-			out += fmt.Sprintf("%-11s %12d %12d %10.3f %10.3f\n",
-				app, s.RealFrames, l.RealFrames, s.Utilization, l.Utilization)
 		}
-		once("Table 3", out)
-	}
-}
-
-// BenchmarkTable4StaticConfigs regenerates Table 4 (remote misses of
-// the static configurations and SCOMA-70 page-outs).
-func BenchmarkTable4StaticConfigs(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		out := fmt.Sprintf("%-11s %10s %10s %10s %10s\n", "app", "SCOMA", "LANUMA", "SCOMA-70", "page-outs")
-		for _, app := range workloads.Names() {
-			s := runApp(b, app, "SCOMA", nil)
-			l := runApp(b, app, "LANUMA", nil)
-			s70 := runApp(b, app, "SCOMA-70", capsFrom(s))
-			out += fmt.Sprintf("%-11s %10d %10d %10d %10d\n",
-				app, s.RemoteMisses, l.RemoteMisses, s70.RemoteMisses, s70.ClientPageOuts)
-		}
-		once("Table 4", out)
-	}
-}
-
-// BenchmarkTable5AdaptiveConfigs regenerates Table 5 (remote misses
-// and page-outs under the adaptive policies).
-func BenchmarkTable5AdaptiveConfigs(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		out := fmt.Sprintf("%-11s %10s %10s %10s %9s %9s\n", "app", "Dyn-FCFS", "Dyn-Util", "Dyn-LRU", "PO(Util)", "PO(LRU)")
-		for _, app := range workloads.Names() {
-			caps := capsFrom(runApp(b, app, "SCOMA", nil))
-			fc := runApp(b, app, "Dyn-FCFS", caps)
-			ut := runApp(b, app, "Dyn-Util", caps)
-			lr := runApp(b, app, "Dyn-LRU", caps)
-			out += fmt.Sprintf("%-11s %10d %10d %10d %9d %9d\n",
-				app, fc.RemoteMisses, ut.RemoteMisses, lr.RemoteMisses,
-				ut.ClientPageOuts, lr.ClientPageOuts)
-		}
-		once("Table 5", out)
+		b.ReportMetric(worst, "worst-normalized-time")
+		once("Figure 7", harness.FormatFig7(runs))
+		once("Table 3", harness.FormatTable3(runs))
+		once("Table 4", harness.FormatTable4(runs))
+		once("Table 5", harness.FormatTable5(runs))
 	}
 }
 
 // BenchmarkPITSweep regenerates the §4.3 PIT-access-time study on a
 // representative subset (Barnes — the most PIT-sensitive app in the
-// paper — plus FFT and LU).
+// paper — plus FFT and LU): the block `prismbench -exp pit -size mini
+// -apps barnes,fft,lu` prints.
 func BenchmarkPITSweep(b *testing.B) {
-	apps := []string{"barnes", "fft", "lu"}
 	for i := 0; i < b.N; i++ {
-		out := fmt.Sprintf("%-11s %14s %14s %9s\n", "app", "SRAM cycles", "DRAM cycles", "increase")
-		for _, app := range apps {
-			caps := capsFrom(runApp(b, app, "SCOMA", nil))
-			run := func(pitCycles uint64) prism.Results {
-				cfg := workloads.ConfigForSize(workloads.MiniSize)
-				cfg.Policy = prism.MustPolicy("Dyn-LRU")
-				cfg.PageCacheCaps = caps
-				cfg.Node.PITConfig.AccessTime = prism.Time(pitCycles)
-				m, err := prism.New(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				w, _ := workloads.NewWorkload(app, workloads.MiniSize, nil)
-				res, err := m.Run(w)
-				if err != nil {
-					b.Fatal(err)
-				}
-				return res
-			}
-			fast := run(2)
-			slow := run(10)
-			inc := float64(slow.Cycles)/float64(fast.Cycles) - 1
-			out += fmt.Sprintf("%-11s %14d %14d %8.1f%%\n", app, fast.Cycles, slow.Cycles, inc*100)
+		rows, err := harness.RunPITSweep(harness.Options{Spec: harness.Spec{
+			Size: "mini",
+			Apps: []string{"barnes", "fft", "lu"},
+		}})
+		if err != nil {
+			b.Fatal(err)
 		}
-		once("PIT study (§4.3)", out)
+		once("PIT study (§4.3)", harness.FormatPITSweep(rows))
 	}
 }
 
@@ -208,16 +127,9 @@ func BenchmarkPITSweep(b *testing.B) {
 func BenchmarkAblationDirectoryCache(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		run := func(entries int) prism.Results {
-			cfg := workloads.ConfigForSize(workloads.MiniSize)
-			cfg.Policy = prism.MustPolicy("SCOMA")
-			cfg.Node.DirConfig.CacheEntries = entries
-			m, _ := prism.New(cfg)
-			w, _ := workloads.NewWorkload("radix", workloads.MiniSize, nil)
-			res, err := m.Run(w)
-			if err != nil {
-				b.Fatal(err)
-			}
-			return res
+			return runMini(b, harness.Cell{App: "radix", Policy: "SCOMA"}, func(cfg *prism.Config) {
+				cfg.Node.DirConfig.CacheEntries = entries
+			})
 		}
 		big := run(8192)
 		small := run(64)
@@ -233,23 +145,16 @@ func BenchmarkAblationDirectoryCache(b *testing.B) {
 // optimization (§3.3) under paging pressure.
 func BenchmarkAblationHomeFlags(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		caps := capsFrom(runApp(b, "radix", "SCOMA", nil))
+		c, err := harness.Cell{App: "radix", Policy: "SCOMA-70", Size: "mini"}.Sized(0)
+		if err != nil {
+			b.Fatal(err)
+		}
 		run := func(noFlags bool) prism.Results {
-			cfg := workloads.ConfigForSize(workloads.MiniSize)
-			cfg.Policy = prism.MustPolicy("SCOMA-70")
-			cfg.PageCacheCaps = caps
-			cfg.Kernel.NoHomeFlags = noFlags
-			m, _ := prism.New(cfg)
-			w, _ := workloads.NewWorkload("radix", workloads.MiniSize, nil)
-			res, err := m.Run(w)
-			if err != nil {
-				b.Fatal(err)
-			}
-			return res
+			return runMini(b, c, func(cfg *prism.Config) { cfg.Kernel.NoHomeFlags = noFlags })
 		}
 		with := run(false)
 		without := run(true)
-		b.ReportMetric(float64(without.PageInMsgs)/float64(maxU(with.PageInMsgs, 1)), "pagein-msg-ratio")
+		b.ReportMetric(float64(without.PageInMsgs)/float64(max(with.PageInMsgs, 1)), "pagein-msg-ratio")
 		once("Ablation: home-page-status flags", fmt.Sprintf(
 			"radix/SCOMA-70: with flags %d page-in msgs (%d flag hits), %d cycles; without %d msgs, %d cycles",
 			with.PageInMsgs, with.FlagHits, with.Cycles, without.PageInMsgs, without.Cycles))
@@ -262,20 +167,13 @@ func BenchmarkAblationHomeFlags(b *testing.B) {
 func BenchmarkAblationDirClientHints(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		run := func(hints bool) prism.Results {
-			cfg := workloads.ConfigForSize(workloads.MiniSize)
-			cfg.Policy = prism.MustPolicy("SCOMA")
-			cfg.Node.CtrlCfg.DirClientHints = hints
-			m, _ := prism.New(cfg)
-			w, _ := workloads.NewWorkload("mp3d", workloads.MiniSize, nil)
-			res, err := m.Run(w)
-			if err != nil {
-				b.Fatal(err)
-			}
-			return res
+			return runMini(b, harness.Cell{App: "mp3d", Policy: "SCOMA"}, func(cfg *prism.Config) {
+				cfg.Node.CtrlCfg.DirClientHints = hints
+			})
 		}
 		off := run(false)
 		on := run(true)
-		b.ReportMetric(float64(on.PITHashLookups)/float64(maxU(off.PITHashLookups, 1)), "hash-lookup-ratio")
+		b.ReportMetric(float64(on.PITHashLookups)/float64(max(off.PITHashLookups, 1)), "hash-lookup-ratio")
 		once("Ablation: directory client-frame hints", fmt.Sprintf(
 			"mp3d: hints off %d hash lookups, %d cycles; hints on %d hash lookups, %d cycles",
 			off.PITHashLookups, off.Cycles, on.PITHashLookups, on.Cycles))
@@ -317,17 +215,9 @@ func BenchmarkAblationMigration(b *testing.B) {
 // Dyn-LRU on the reuse pathology the paper's conclusion discusses.
 func BenchmarkAblationDynBoth(b *testing.B) {
 	for i := 0; i < b.N; i++ {
+		caps := fill(workloads.ConfigForSize(workloads.MiniSize).Nodes, 2) // hard pressure
 		run := func(pol string) prism.Results {
-			cfg := workloads.ConfigForSize(workloads.MiniSize)
-			cfg.Policy = prism.MustPolicy(pol)
-			cfg.PageCacheCaps = fill(cfg.Nodes, 2) // hard pressure
-			m, _ := prism.New(cfg)
-			w, _ := workloads.NewWorkload("barnes", workloads.MiniSize, nil)
-			res, err := m.Run(w)
-			if err != nil {
-				b.Fatal(err)
-			}
-			return res
+			return runMini(b, harness.Cell{App: "barnes", Policy: pol, Caps: caps}, nil)
 		}
 		lru := run("Dyn-LRU")
 		both := run("Dyn-Both")
@@ -345,16 +235,9 @@ func BenchmarkAblationDynBoth(b *testing.B) {
 func BenchmarkAblationSyncPages(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		run := func(hw bool) prism.Results {
-			cfg := workloads.ConfigForSize(workloads.MiniSize)
-			cfg.Policy = prism.MustPolicy("SCOMA")
-			cfg.HardwareSync = hw
-			m, _ := prism.New(cfg)
-			w, _ := workloads.NewWorkload("water-nsq", workloads.MiniSize, nil)
-			res, err := m.Run(w)
-			if err != nil {
-				b.Fatal(err)
-			}
-			return res
+			return runMini(b, harness.Cell{App: "water-nsq", Policy: "SCOMA"}, func(cfg *prism.Config) {
+				cfg.HardwareSync = hw
+			})
 		}
 		sw := run(false)
 		hw := run(true)
@@ -365,76 +248,10 @@ func BenchmarkAblationSyncPages(b *testing.B) {
 	}
 }
 
-// benchMachine runs one full mini-size machine simulation per
-// iteration. ReportAllocs makes these the end-to-end gauge of the
-// allocation-free event core: allocs/op is dominated by machine
-// construction plus whatever the hot paths still allocate per event.
-func benchMachine(b *testing.B, app, pol string) {
-	cfg := workloads.ConfigForSize(workloads.MiniSize)
-	cfg.Policy = prism.MustPolicy(pol)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		m, err := prism.New(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		w, err := workloads.NewWorkload(app, workloads.MiniSize, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := m.Run(w)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(res.Refs), "refs/run")
-	}
-}
-
-// BenchmarkMachineFFT and friends time representative full-machine
-// runs (one complete simulation per iteration) across the policy
-// space: a regular app, an irregular one, and an adaptive policy with
-// paging activity.
-func BenchmarkMachineFFT(b *testing.B) { benchMachine(b, "fft", "SCOMA") }
-
-// BenchmarkMachineLU times the blocked-LU run under LA-NUMA.
-func BenchmarkMachineLU(b *testing.B) { benchMachine(b, "lu", "LANUMA") }
-
-// BenchmarkMachineRadix times radix sort under the adaptive Dyn-LRU
-// policy (exercises the paging and conversion paths).
-func BenchmarkMachineRadix(b *testing.B) { benchMachine(b, "radix", "Dyn-LRU") }
-
-// BenchmarkMachineWaterNsq times the lock-heavy water-nsq run
-// (exercises the synchronization paths).
-func BenchmarkMachineWaterNsq(b *testing.B) { benchMachine(b, "water-nsq", "SCOMA") }
-
-// BenchmarkEngineEvents measures raw event throughput of the
-// simulation core.
-func BenchmarkEngineEvents(b *testing.B) {
-	cfg := workloads.ConfigForSize(workloads.MiniSize)
-	cfg.Policy = prism.MustPolicy("SCOMA")
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		m, _ := prism.New(cfg)
-		w, _ := workloads.NewWorkload("water-spa", workloads.MiniSize, nil)
-		res, err := m.Run(w)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(res.Refs), "refs/run")
-	}
-}
-
 func fill(n, v int) []int {
 	out := make([]int, n)
 	for i := range out {
 		out[i] = v
 	}
 	return out
-}
-
-func maxU(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -1,9 +1,10 @@
 // In-process microbenchmarks and the committed host-performance
 // baseline (BENCH_10.json).
 //
-// `prismbench -bench all` runs the suite via testing.Benchmark and
-// prints a table; `-benchjson FILE` writes the results (plus the
-// sweep's wall time when a sweep ran in the same invocation) as JSON;
+// `prismbench -bench all` runs every row of internal/benchsuite via
+// testing.Benchmark and prints a table; `-benchjson FILE` writes the
+// results (plus the sweep's wall time when a sweep ran in the same
+// invocation) as JSON;
 // `-benchcheck FILE` re-runs the suite and fails if any benchmark's
 // allocs/op regressed above the committed baseline — the CI gate that
 // keeps the event core allocation-free.
@@ -13,22 +14,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"sort"
+	"slices"
 	"strings"
 	"testing"
 
-	"prism"
-	"prism/internal/directory"
-	"prism/internal/ipc"
-	"prism/internal/kernel"
-	"prism/internal/mem"
-	"prism/internal/network"
-	"prism/internal/node"
-	"prism/internal/pit"
-	"prism/internal/policy"
-	"prism/internal/sim"
-	"prism/internal/timing"
-	"prism/workloads"
+	"prism/internal/benchsuite"
 )
 
 // BenchResult is one benchmark's headline numbers.
@@ -58,184 +48,30 @@ type BenchReport struct {
 	Previous *BenchReport `json:"previous,omitempty"`
 }
 
-// benchSuite maps benchmark names to bodies. Everything except the
-// Machine* entries must stay 0 allocs/op; the Machine* entries run one
-// full mini-size simulation per iteration.
-var benchSuite = map[string]func(b *testing.B){
-	"EventQueue":       benchEventQueue,
-	"CoroutineHandoff": benchCoroutineHandoff,
-	"PITLookup":        benchPITLookup,
-	"PITReverseHash":   benchPITReverseHash,
-	"DirectoryAccess":  benchDirectoryAccess,
-	"KernelPTEHit":     benchKernelPTEHit,
-	"MachineFFT":       func(b *testing.B) { benchMachine(b, "fft", "SCOMA") },
-	"MachineRadix":     func(b *testing.B) { benchMachine(b, "radix", "Dyn-LRU") },
-	"MachineOcean":     func(b *testing.B) { benchMachine(b, "ocean", "SCOMA") },
-}
-
-// benchEventQueue mirrors internal/sim's BenchmarkEventQueue: raw
-// schedule+dispatch throughput of the specialized heap.
-func benchEventQueue(b *testing.B) {
-	e := sim.NewEngine()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		e.Schedule(sim.Time(i%64), func() {})
-		if e.Pending() > 1024 {
-			e.RunUntilIdle()
-		}
-	}
-	e.RunUntilIdle()
-}
-
-// benchCoroutineHandoff mirrors internal/sim's
-// BenchmarkCoroutineHandoff: one block/step round trip.
-func benchCoroutineHandoff(b *testing.B) {
-	e := sim.NewEngine()
-	c := sim.NewCoro("bench")
-	c.Start(func() {
-		for {
-			c.Block()
-		}
-	})
-	e.ScheduleStep(0, c)
-	e.RunUntilIdle()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Step()
-	}
-}
-
-// benchPITLookup mirrors internal/pit's BenchmarkLookup: the forward
-// translation behind every bus transaction, on the dense table.
-func benchPITLookup(b *testing.B) {
-	p := benchPITTable()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if e, _ := p.Lookup(mem.FrameID(i & 255)); e == nil {
-			b.Fatal("missing entry")
-		}
-	}
-}
-
-// benchPITReverseHash mirrors internal/pit's BenchmarkReverseLookupHash:
-// reverse translation with no frame guess, through the open-addressing
-// reverse table.
-func benchPITReverseHash(b *testing.B) {
-	p := benchPITTable()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		g := mem.GPage{Seg: 1, Page: uint32(i & 255)}
-		if _, ok, _ := p.ReverseLookup(g, 0, false); !ok {
-			b.Fatal("hash path failed")
-		}
-	}
-}
-
-func benchPITTable() *pit.PIT {
-	p := pit.New(0, mem.DefaultGeometry, pit.DefaultConfig)
-	for i := 0; i < 256; i++ {
-		p.Insert(mem.FrameID(i), pit.Entry{
-			Mode:  pit.ModeSCOMA,
-			GPage: mem.GPage{Seg: 1, Page: uint32(i)},
-			Caps:  mem.AllNodes(),
-		})
-	}
-	return p
-}
-
-// benchDirectoryAccess mirrors internal/directory's BenchmarkAccess:
-// the home side's per-request line lookup on the paged slice arena.
-func benchDirectoryAccess(b *testing.B) {
-	d := directory.New(0, mem.DefaultGeometry, directory.DefaultConfig)
-	const pages = 64
-	for i := 0; i < pages; i++ {
-		d.AddPage(mem.GPage{Seg: 1, Page: uint32(i)}, 0)
-	}
-	lpp := mem.DefaultGeometry.LinesPerPage()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if e, _, ok := d.Access(mem.GPage{Seg: 1, Page: uint32(i % pages)}, i%lpp); !ok || e == nil {
-			b.Fatal("missing directory entry")
-		}
-	}
-}
-
-// benchKernelPTEHit is the fault path's hot translation on a software
-// TLB hit. One node is built (the kernel's private-fault path needs
-// its bound controller), one private page mapped, then PTE is hammered.
-func benchKernelPTEHit(b *testing.B) {
-	e := sim.NewEngine()
-	geom := mem.DefaultGeometry
-	tm := timing.Default()
-	reg := ipc.NewRegistry(geom, 1)
-	net := network.New(e, 1, network.DefaultConfig)
-	k := kernel.New(e, 0, geom, &tm, kernel.Config{RealFrames: 256}, reg, net, policy.SCOMA{})
-	n := node.New(e, 0, geom, &tm, node.DefaultConfig(geom), net, reg, k)
-	net.Attach(0, n)
-	const vsid = mem.VSID(2)
-	k.AttachPrivate(vsid)
-	vp := mem.VPage{Seg: vsid, Page: 0}
-	mapped := false
-	k.HandleFault(vp, func(at sim.Time, f mem.FrameID, ok bool) { mapped = ok })
-	e.RunUntilIdle()
-	if !mapped {
-		b.Fatal("private fault did not map the page")
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, ok := k.PTE(vp); !ok {
-			b.Fatal("lost mapping")
-		}
-	}
-}
-
-// benchMachine runs one full mini-size simulation per iteration.
-func benchMachine(b *testing.B, app, pol string) {
-	cfg := workloads.ConfigForSize(workloads.MiniSize)
-	cfg.Policy = prism.MustPolicy(pol)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		m, err := prism.New(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		w, err := workloads.NewWorkload(app, workloads.MiniSize, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := m.Run(w); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// runBenchSuite executes the selected benchmarks (comma list or
-// "all") and returns their results in name order.
+// runBenchSuite executes the selected rows of benchsuite.All (comma
+// list or "all") and returns their results in the order run.
 func runBenchSuite(sel string) ([]BenchResult, error) {
-	var names []string
-	if sel == "all" {
-		for n := range benchSuite {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-	} else {
+	rows := benchsuite.All()
+	if sel != "all" {
+		var picked []benchsuite.Bench
 		for _, n := range strings.Split(sel, ",") {
 			n = strings.TrimSpace(n)
-			if _, ok := benchSuite[n]; !ok {
+			i := slices.IndexFunc(rows, func(r benchsuite.Bench) bool { return r.Name == n })
+			if i < 0 {
 				return nil, fmt.Errorf("unknown benchmark %q (have: %s)", n, strings.Join(benchNames(), ","))
 			}
-			names = append(names, n)
+			picked = append(picked, rows[i])
 		}
+		rows = picked
 	}
 	var out []BenchResult
-	for _, n := range names {
-		r := testing.Benchmark(benchSuite[n])
+	for _, r := range rows {
+		res := testing.Benchmark(r.Run)
 		out = append(out, BenchResult{
-			Name:        n,
-			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-			AllocsPerOp: r.AllocsPerOp(),
-			BytesPerOp:  r.AllocedBytesPerOp(),
+			Name:        r.Name,
+			NsPerOp:     float64(res.T.Nanoseconds()) / float64(res.N),
+			AllocsPerOp: res.AllocsPerOp(),
+			BytesPerOp:  res.AllocedBytesPerOp(),
 		})
 	}
 	return out, nil
@@ -243,10 +79,9 @@ func runBenchSuite(sel string) ([]BenchResult, error) {
 
 func benchNames() []string {
 	var names []string
-	for n := range benchSuite {
-		names = append(names, n)
+	for _, r := range benchsuite.All() {
+		names = append(names, r.Name)
 	}
-	sort.Strings(names)
 	return names
 }
 

@@ -195,7 +195,7 @@ func runVerify(args []string, stdout, stderr io.Writer) int {
 	var refRows map[string]string
 	if *csvRef != "" {
 		var err error
-		refRows, err = loadCSVRows(*csvRef)
+		refRows, err = harness.ReadCSV(*csvRef)
 		if err != nil {
 			fmt.Fprintf(stderr, "prismcase verify: %v\n", err)
 			return 1
@@ -228,7 +228,7 @@ func runVerify(args []string, stdout, stderr io.Writer) int {
 		ok := true
 		atRefSize := c.Size == *refSize
 		if refRows != nil && atRefSize {
-			key := rowKey(o.CSVRow)
+			key := harness.RowKey(o.CSVRow)
 			want, present := refRows[key]
 			if !present {
 				fmt.Fprintf(stderr, "FAIL %s: cell %s not in %s\n", path, key, *csvRef)
@@ -330,31 +330,6 @@ func printCase(w io.Writer, c *testcase.Case) {
 		fmt.Fprintf(w, "  expect cycles=%d results=%s metrics=%s\n",
 			c.Expect.Cycles, c.Expect.ResultsSHA256[:12], c.Expect.MetricsSHA256[:12])
 	}
-}
-
-// loadCSVRows indexes a sweep CSV by its "app,policy" cell key.
-func loadCSVRows(path string) (map[string]string, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	lines := strings.Split(strings.TrimRight(strings.ReplaceAll(string(raw), "\r\n", "\n"), "\n"), "\n")
-	if len(lines) == 0 || lines[0] != harness.CSVHeader {
-		return nil, fmt.Errorf("%s: not a sweep CSV (header mismatch)", path)
-	}
-	rows := make(map[string]string, len(lines)-1)
-	for _, ln := range lines[1:] {
-		rows[rowKey(ln)] = ln
-	}
-	return rows, nil
-}
-
-func rowKey(line string) string {
-	fields := strings.SplitN(line, ",", 3)
-	if len(fields) < 3 {
-		return line
-	}
-	return fields[0] + "," + fields[1]
 }
 
 // diffExports compares two metrics exports (optionally restricted to

@@ -7,7 +7,7 @@
 // Both `,` and `;` separate parameters on input. The canonical
 // spelling uses `;` because the canonical spec doubles as the app
 // label in sweep CSV rows, whose columns are comma-separated
-// (rowKey in verify.go splits on commas). Canonicalization also
+// (RowKey in verify.go splits on commas). Canonicalization also
 // resolves aliases to the registered name, sorts parameters by key,
 // and drops parameters spelled exactly at their default, so two
 // spellings of the same experiment share CSV rows and prismd cache

@@ -58,28 +58,17 @@ func DiffCSV(got, want string) error {
 // match the reference row for the same (app, policy) cell exactly.
 // It returns nil when every row matches.
 func VerifyAgainstFile(runs []AppRun, path string) error {
-	raw, err := os.ReadFile(path)
+	ref, err := ReadCSV(path)
 	if err != nil {
 		return fmt.Errorf("verify: %w", err)
-	}
-	refLines := splitLines(string(raw))
-	if len(refLines) == 0 {
-		return fmt.Errorf("verify: %s is empty", path)
 	}
 	gotLines := splitLines(CSVString(runs))
 	if len(gotLines) < 2 {
 		return fmt.Errorf("verify: sweep produced no rows")
 	}
-	if gotLines[0] != refLines[0] {
-		return fmt.Errorf("verify: header mismatch\n  got  %q\n  want %q", gotLines[0], refLines[0])
-	}
-	ref := make(map[string]string, len(refLines)-1)
-	for _, ln := range refLines[1:] {
-		ref[rowKey(ln)] = ln
-	}
 	var diffs []string
 	for _, ln := range gotLines[1:] {
-		key := rowKey(ln)
+		key := RowKey(ln)
 		want, ok := ref[key]
 		if !ok {
 			diffs = append(diffs, fmt.Sprintf("cell %s: not in %s", key, path))
@@ -96,8 +85,27 @@ func VerifyAgainstFile(runs []AppRun, path string) error {
 	return nil
 }
 
-// rowKey extracts the "app,policy" cell key from a CSV row.
-func rowKey(line string) string {
+// ReadCSV reads a committed sweep CSV (results_ci.csv,
+// results_scale.csv) and keys its rows by RowKey. A file whose first
+// line is not CSVHeader is refused.
+func ReadCSV(path string) (map[string]string, error) {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	lines := splitLines(string(raw))
+	if len(lines) == 0 || lines[0] != CSVHeader {
+		return nil, fmt.Errorf("%s: not a sweep CSV (header mismatch)", path)
+	}
+	rows := make(map[string]string, len(lines)-1)
+	for _, ln := range lines[1:] {
+		rows[RowKey(ln)] = ln
+	}
+	return rows, nil
+}
+
+// RowKey extracts the "app,policy" cell key from a CSV row.
+func RowKey(line string) string {
 	fields := strings.SplitN(line, ",", 3)
 	if len(fields) < 3 {
 		return line

@@ -79,6 +79,15 @@ func TestVerifyAgainstFile(t *testing.T) {
 	if err := VerifyAgainstFile(runs, filepath.Join(t.TempDir(), "nope.csv")); err == nil {
 		t.Error("missing reference file passed the gate")
 	}
+
+	// A file that is not a sweep CSV fails with a one-line error.
+	other := filepath.Join(t.TempDir(), "other.csv")
+	if err := os.WriteFile(other, []byte("a,b\n1,2\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := VerifyAgainstFile(runs, other); err == nil || strings.Contains(err.Error(), "\n") {
+		t.Errorf("foreign header: want a one-line error, got %v", err)
+	}
 }
 
 func mustWriteHeaderOnly(t *testing.T) string {

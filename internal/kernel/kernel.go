@@ -139,16 +139,6 @@ type homePage struct {
 
 type faultCont func(at sim.Time, f mem.FrameID, ok bool)
 
-// DebugPageBusy, when non-nil, observes page-busy transitions (used by
-// protocol debugging tests).
-var DebugPageBusy func(node mem.NodeID, g mem.GPage, ev string)
-
-func (k *Kernel) dbgPB(g mem.GPage, ev string) {
-	if DebugPageBusy != nil {
-		DebugPageBusy(k.node, g, fmt.Sprintf("%s t=%d", ev, k.e.Now()))
-	}
-}
-
 // Kernel is one node's OS kernel.
 type Kernel struct {
 	e    *sim.Engine
@@ -292,10 +282,6 @@ func (k *Kernel) convertToSCOMA(f mem.FrameID) {
 
 // Node returns the kernel's node id.
 func (k *Kernel) Node() mem.NodeID { return k.node }
-
-// SetPageCacheCap adjusts the client page-cache capacity (the harness
-// sets SCOMA-70's per-node cap from a prior SCOMA run).
-func (k *Kernel) SetPageCacheCap(cap int) { k.cfg.PageCacheCap = cap }
 
 // AttachPrivate binds vsid as a node-private segment: its pages get
 // Local-mode frames.
@@ -524,7 +510,6 @@ func (k *Kernel) HandleFault(vp mem.VPage, done faultCont) {
 
 	// A page-out of this very page may be in flight; wait for it.
 	if _, busy := k.pageBusy[g]; busy {
-		k.dbgPB(g, "defer-fault")
 		k.pageBusy[g] = append(k.pageBusy[g], func() {
 			t := k.inProgress[vp]
 			delete(k.inProgress, vp)
@@ -633,7 +618,6 @@ func (k *Kernel) clientFault(vp mem.VPage, g mem.GPage, finish faultCont) {
 	}
 
 	bind := func(at sim.Time) {
-		k.dbgPB(g, "bind")
 		var f mem.FrameID
 		ent := pit.Entry{
 			Mode: dec.Mode, GPage: g,
@@ -707,7 +691,6 @@ func (k *Kernel) pageOutClient(f mem.FrameID, convert bool, done func(at sim.Tim
 	}
 	fb.busy = true
 	g := fb.page
-	k.dbgPB(g, fmt.Sprintf("pageout-call f=%d", f))
 	k.Stats.ClientPageOuts++
 	if convert {
 		k.pageMode[g] = pit.ModeLANUMA
@@ -716,7 +699,6 @@ func (k *Kernel) pageOutClient(f mem.FrameID, convert bool, done func(at sim.Tim
 	if _, exists := k.pageBusy[g]; exists {
 		panic(fmt.Sprintf("kernel: node %d: page %v already paging out (victim frame %d, binding %+v, t=%d)", k.node, g, f, *fb, k.e.Now()))
 	}
-	k.dbgPB(g, "pageout-start")
 	k.pageBusy[g] = nil
 
 	// Stop new accesses: unmap before flushing.
@@ -737,7 +719,6 @@ func (k *Kernel) pageOutClient(f mem.FrameID, convert bool, done func(at sim.Tim
 			return
 		}
 		k.ctrl.FlushPage(f, true, func(at sim.Time) {
-			k.dbgPB(g, "pageout-done")
 			ent := k.ctrl.PIT.Remove(f)
 			k.unbindFrame(f)
 			k.freeFrame(f, ent)
@@ -764,7 +745,6 @@ func (k *Kernel) ReleaseLANUMA(f mem.FrameID, newMode pit.Mode, done func(at sim
 	g := fb.page
 	k.ptDelete(fb.vp)
 	k.hw.TLBShootdown(fb.vp)
-	k.dbgPB(g, "release-start")
 	k.pageBusy[g] = nil
 	if newMode == pit.ModeSCOMA {
 		delete(k.pageMode, g)

@@ -123,17 +123,6 @@ func TestSetPageModeStickiness(t *testing.T) {
 	}
 }
 
-func TestSetPageCacheCap(t *testing.T) {
-	k := mkKernel(t, 16)
-	k.SetPageCacheCap(7)
-	if k.PageCacheCap() != 7 {
-		t.Fatal("cap not set")
-	}
-	if k.ClientSCOMAFrames() != 0 {
-		t.Fatal("fresh kernel has client frames")
-	}
-}
-
 func TestStatsReset(t *testing.T) {
 	s := Stats{Faults: 3, ClientPageOuts: 2, RealAllocated: 9}
 	s.Reset()

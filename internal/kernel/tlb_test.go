@@ -98,23 +98,10 @@ func TestTLBResetContract(t *testing.T) {
 	}
 }
 
-// BenchmarkPTEHit is the fault path's hot translation: a TLB hit that
-// never touches the page-table map.
-func BenchmarkPTEHit(b *testing.B) {
-	k := mkKernel(b, 8)
-	v := vp(2, 5)
-	k.ptSet(v, PTE{Frame: 1, Mode: pit.ModeSCOMA})
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, ok := k.PTE(v); !ok {
-			b.Fatal("lost mapping")
-		}
-	}
-}
-
 // BenchmarkPTEMiss forces the direct-mapped slot to thrash between two
 // colliding pages: every lookup misses, falls back to the map, and
 // reinstalls — the translation path a cold (or shot-down) TLB pays.
+// The hit is internal/benchsuite's KernelPTEHit row.
 func BenchmarkPTEMiss(b *testing.B) {
 	k := mkKernel(b, 8)
 	pages := [2]mem.VPage{vp(2, 1), vp(2, 1+tlbSize)}

@@ -57,24 +57,6 @@ const (
 	EvAckedTimer
 )
 
-// ClassifyEvent reports how h relates to this network.
-func (n *Network) ClassifyEvent(h sim.EventHandler) EventClass {
-	switch ev := h.(type) {
-	case *inflight:
-		if ev.n == n {
-			return EvInflight
-		}
-	case *pendingMsg:
-		if n.tr != nil && ev.tr == n.tr {
-			if ev.acked {
-				return EvAckedTimer
-			}
-			return EvLiveTimer
-		}
-	}
-	return EvForeign
-}
-
 // InflightInfo describes one in-flight delivery event in terms the
 // capture layer can serialize. Msg is the unwrapped protocol payload
 // (nil for a transport ack); the caller encodes it with its payload

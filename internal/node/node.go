@@ -431,12 +431,6 @@ func (n *Node) TLBShootdown(vp mem.VPage) {
 	}
 }
 
-// MemResource exposes the DRAM occupancy model (for stats).
-func (n *Node) MemResource() *sim.Resource { return &n.memRes }
-
-// BusResources exposes the bus occupancy models (for stats).
-func (n *Node) BusResources() (addr, data *sim.Resource) { return &n.addrBus, &n.dataBus }
-
 // RegisterMetrics registers this node's hardware with the telemetry
 // registry: aggregated processor and cache counters, the per-mode bus
 // fill split, bus/memory occupancy, and — via the controller and

@@ -83,9 +83,6 @@ type Proc struct {
 // SetReplay switches the processor into (or out of) replay mode.
 func (p *Proc) SetReplay(on bool) { p.replay = on }
 
-// Replaying reports whether the processor is in replay mode.
-func (p *Proc) Replaying() bool { return p.replay }
-
 // bind wires the embedded event objects and bound callbacks to the
 // processor (called once from node.New).
 func (p *Proc) bind() {

@@ -20,20 +20,10 @@ func benchPIT(n int) *PIT {
 	return p
 }
 
-// BenchmarkLookup is the forward-translation hot path (one bus
-// transaction's PIT access): a dense chunked-array index.
-func BenchmarkLookup(b *testing.B) {
-	p := benchPIT(256)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if e, _ := p.Lookup(mem.FrameID(i & 255)); e == nil {
-			b.Fatal("missing entry")
-		}
-	}
-}
-
 // BenchmarkReverseLookupGuess is the §3.2 guessed-frame fast path: the
 // message carries the right frame number, so no hash probe happens.
+// The forward lookup and the hash fallback are internal/benchsuite's
+// PITLookup and PITReverseHash rows.
 func BenchmarkReverseLookupGuess(b *testing.B) {
 	p := benchPIT(256)
 	b.ReportAllocs()
@@ -42,19 +32,6 @@ func BenchmarkReverseLookupGuess(b *testing.B) {
 		g := mem.GPage{Seg: 1, Page: uint32(i & 255)}
 		if _, ok, _ := p.ReverseLookup(g, f, true); !ok {
 			b.Fatal("guess path failed")
-		}
-	}
-}
-
-// BenchmarkReverseLookupHash is the fallback: no guess, so the
-// open-addressing reverse table resolves the page.
-func BenchmarkReverseLookupHash(b *testing.B) {
-	p := benchPIT(256)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		g := mem.GPage{Seg: 1, Page: uint32(i & 255)}
-		if _, ok, _ := p.ReverseLookup(g, 0, false); !ok {
-			b.Fatal("hash path failed")
 		}
 	}
 }

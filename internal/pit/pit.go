@@ -438,19 +438,10 @@ func (p *PIT) CheckAccess(f mem.FrameID, src mem.NodeID) bool {
 	return false
 }
 
-// TraceTag, when non-nil, observes every fine-grain tag transition
-// (used by protocol debugging tests).
-var TraceTag func(node mem.NodeID, f mem.FrameID, g mem.GPage, ln int, old, new Tag)
-
 // SetTag updates line ln's fine-grain tag, maintaining the invalid and
 // transit counters. It panics if the frame is not S-COMA: callers must
 // dispatch on mode first, like the hardware.
 func (p *PIT) SetTag(f mem.FrameID, ln int, t Tag) {
-	if TraceTag != nil {
-		if e := p.entry(f); e != nil {
-			TraceTag(p.node, f, e.GPage, ln, e.Tags[ln], t)
-		}
-	}
 	e := p.entry(f)
 	if e == nil || e.Mode != ModeSCOMA {
 		panic(fmt.Sprintf("pit: SetTag on non-S-COMA frame %d", f))

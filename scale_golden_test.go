@@ -16,7 +16,6 @@
 package prism_test
 
 import (
-	"os"
 	"strconv"
 	"strings"
 	"testing"
@@ -37,33 +36,17 @@ var scaleApps = []string{
 	"zipf:ops=512;pages=512",
 }
 
-// readGoldenRows reads a committed sweep CSV keyed by "app/policy".
-func readGoldenRows(t *testing.T, path string) map[string][]string {
-	t.Helper()
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
-	if lines[0] != harness.CSVHeader {
-		t.Fatalf("%s header drifted:\n got  %q\n want %q", path, lines[0], harness.CSVHeader)
-	}
-	rows := make(map[string][]string)
-	for _, ln := range lines[1:] {
-		f := strings.Split(ln, ",")
-		rows[f[0]+"/"+f[1]] = f
-	}
-	return rows
-}
-
 // TestScaleGoldenPressure audits the committed rows without running
 // anything: all six cells present, and every Dyn-LRU cell shows
 // page-cache evictions (page_outs > 0) with imaginary frames allocated.
 func TestScaleGoldenPressure(t *testing.T) {
-	rows := readGoldenRows(t, scaleCSV)
+	rows, err := harness.ReadCSV(scaleCSV)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, app := range scaleApps {
 		for _, pol := range []string{"SCOMA", "Dyn-LRU"} {
-			row, ok := rows[app+"/"+pol]
+			line, ok := rows[app+","+pol]
 			if !ok {
 				t.Errorf("%s missing cell %s/%s", scaleCSV, app, pol)
 				continue
@@ -71,6 +54,7 @@ func TestScaleGoldenPressure(t *testing.T) {
 			if pol != "Dyn-LRU" {
 				continue
 			}
+			row := strings.Split(line, ",")
 			pageOuts, err := strconv.Atoi(row[4])
 			if err != nil {
 				t.Errorf("%s/%s: bad page_outs %q", app, pol, row[4])
@@ -113,13 +97,17 @@ func TestScaleSweepMatchesGolden(t *testing.T) {
 // than SCOMA on all eight apps, and SCOMA-70 beats LANUMA on the
 // capacity-bound apps (barnes, lu, ocean, radix).
 func TestFig7GoldenShapes(t *testing.T) {
-	rows := readGoldenRows(t, ciCSV)
+	rows, err := harness.ReadCSV(ciCSV)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cycles := func(app, pol string) uint64 {
 		t.Helper()
-		row, ok := rows[app+"/"+pol]
+		line, ok := rows[app+","+pol]
 		if !ok {
 			t.Fatalf("%s missing cell %s/%s", ciCSV, app, pol)
 		}
+		row := strings.Split(line, ",")
 		c, err := strconv.ParseUint(row[2], 10, 64)
 		if err != nil {
 			t.Fatalf("%s/%s: bad cycles %q", app, pol, row[2])
