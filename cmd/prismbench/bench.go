@@ -48,22 +48,27 @@ type BenchReport struct {
 	Previous *BenchReport `json:"previous,omitempty"`
 }
 
-// runBenchSuite executes the selected rows of benchsuite.All (comma
-// list or "all") and returns their results in the order run.
-func runBenchSuite(sel string) ([]BenchResult, error) {
+// selectBenchmarks resolves the -bench list (comma list or "all") to
+// rows of benchsuite.All, rejecting any name that is not a row.
+func selectBenchmarks(sel string) ([]benchsuite.Bench, error) {
 	rows := benchsuite.All()
-	if sel != "all" {
-		var picked []benchsuite.Bench
-		for _, n := range strings.Split(sel, ",") {
-			n = strings.TrimSpace(n)
-			i := slices.IndexFunc(rows, func(r benchsuite.Bench) bool { return r.Name == n })
-			if i < 0 {
-				return nil, fmt.Errorf("unknown benchmark %q (have: %s)", n, strings.Join(benchNames(), ","))
-			}
-			picked = append(picked, rows[i])
-		}
-		rows = picked
+	if sel == "all" {
+		return rows, nil
 	}
+	var picked []benchsuite.Bench
+	for _, n := range strings.Split(sel, ",") {
+		n = strings.TrimSpace(n)
+		i := slices.IndexFunc(rows, func(r benchsuite.Bench) bool { return r.Name == n })
+		if i < 0 {
+			return nil, fmt.Errorf("unknown benchmark %q (have: %s)", n, strings.Join(benchNames(), ","))
+		}
+		picked = append(picked, rows[i])
+	}
+	return picked, nil
+}
+
+// runBenchSuite executes rows and returns their results in order.
+func runBenchSuite(rows []benchsuite.Bench) []BenchResult {
 	var out []BenchResult
 	for _, r := range rows {
 		res := testing.Benchmark(r.Run)
@@ -74,7 +79,7 @@ func runBenchSuite(sel string) ([]BenchResult, error) {
 			BytesPerOp:  res.AllocedBytesPerOp(),
 		})
 	}
-	return out, nil
+	return out
 }
 
 func benchNames() []string {

@@ -8,6 +8,7 @@
 //	prismbench -exp all -size ci
 //	prismbench -exp fig7 -size ci -verify results_ci.csv   # regression gate
 //	prismbench -exp fig7 -size ci -faults seed=42,drop=0.02  # lossy fabric
+//	prismbench -bench all -benchcheck BENCH_10.json  # benchmarks alone
 //
 // Figure 7 and Tables 3-5 come from the same six-policy sweep, which
 // is run once per invocation when any of them is requested. Sweep
@@ -26,13 +27,14 @@ import (
 	"strings"
 	"time"
 
+	"prism/internal/benchsuite"
 	"prism/internal/harness"
 )
 
 func main() {
 	defer harness.HandlePanic("prismbench")
 	var cli harness.CLI
-	exp := flag.String("exp", "all", "experiments: "+strings.Join(experiments, ",")+",all")
+	exp := flag.String("exp", "", "experiments: "+strings.Join(experiments, ",")+",all (default all, or none with -bench)")
 	cli.RegisterSize(flag.CommandLine, "ci")
 	apps := flag.String("apps", "", "comma-separated app specs, name[:key=val;key=val] (default the eight SPLASH kernels)")
 	pols := flag.String("pols", "", "comma-separated policy subset in sweep order (default the Figure 7 six)")
@@ -49,6 +51,20 @@ func main() {
 	benchJSON := flag.String("benchjson", "", "write -bench results (plus sweep wall time, if a sweep ran) as JSON")
 	benchCheck := flag.String("benchcheck", "", "fail if -bench allocs/op regress above this committed baseline JSON")
 	flag.Parse()
+
+	// Check every name before anything runs.
+	want, err := parseExperiments(*exp, *bench != "")
+	if err != nil {
+		fatal(err)
+	}
+	var benchRows []benchsuite.Bench
+	if *bench != "" {
+		if benchRows, err = selectBenchmarks(*bench); err != nil {
+			fatal(err)
+		}
+	} else if *benchJSON != "" || *benchCheck != "" {
+		fatal(fmt.Errorf("-benchjson/-benchcheck need -bench"))
+	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -77,11 +93,6 @@ func main() {
 			f.Close()
 			fmt.Fprintf(os.Stderr, "wrote heap profile %s\n", *memprofile)
 		}()
-	}
-
-	want, err := parseExperiments(*exp)
-	if err != nil {
-		fatal(err)
 	}
 
 	opts := harness.Options{Spec: cli.Spec, Workers: cli.Workers(), MetricsDir: cli.MetricsDir}
@@ -169,10 +180,7 @@ func main() {
 	}
 
 	if *bench != "" {
-		results, err := runBenchSuite(*bench)
-		if err != nil {
-			fatal(err)
-		}
+		results := runBenchSuite(benchRows)
 		fmt.Println(formatBench(results))
 		if *benchJSON != "" {
 			rep := BenchReport{Benchmarks: results, Sweep: sweep}
@@ -186,8 +194,6 @@ func main() {
 				fatal(err)
 			}
 		}
-	} else if *benchJSON != "" || *benchCheck != "" {
-		fatal(fmt.Errorf("-benchjson/-benchcheck need -bench"))
 	}
 }
 
@@ -195,9 +201,17 @@ func main() {
 var experiments = []string{"table1", "table2", "fig7", "table3", "table4", "table5", "pit"}
 
 // parseExperiments turns the -exp list into the set of experiments to
-// run, rejecting any name that is not an experiment or "all".
-func parseExperiments(list string) (map[string]bool, error) {
+// run, rejecting any name that is not an experiment or "all". An empty
+// list selects every experiment, or none when benchmarks were asked
+// for (withBench), so that -bench alone times only the benchmarks.
+func parseExperiments(list string, withBench bool) (map[string]bool, error) {
 	want := map[string]bool{}
+	if list == "" {
+		if withBench {
+			return want, nil
+		}
+		list = "all"
+	}
 	for _, e := range strings.Split(list, ",") {
 		e = strings.TrimSpace(e)
 		switch {

@@ -12,7 +12,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"prism"
 	"prism/internal/mem"
@@ -27,6 +29,7 @@ type firewallWL struct {
 	wildFaults   uint64
 	goodFaults   uint64
 	drops        uint64
+	err          error // SetPageCaps's failure, reported after the run
 }
 
 func (w *firewallWL) Name() string { return "firewall" }
@@ -46,9 +49,7 @@ func (w *firewallWL) Run(ctx *prism.Ctx) {
 	// Node 0 maps the protected page and installs the capability list.
 	if ctx.ID == 0 {
 		p.WriteRange(w.base, pageSize)
-		if err := w.m.SetPageCaps(w.base, []prism.NodeID{0, 1}); err != nil {
-			log.Fatal(err)
-		}
+		w.err = w.m.SetPageCaps(w.base, []prism.NodeID{0, 1})
 	}
 	p.Barrier(1)
 
@@ -80,26 +81,37 @@ func (w *firewallWL) Run(ctx *prism.Ctx) {
 	}
 }
 
-func main() {
+// report runs the demo and writes its fault and drop counts to out.
+func report(out io.Writer) error {
 	cfg := workloads.ConfigForSize(workloads.CISize)
 	cfg.Policy = prism.MustPolicy("SCOMA")
 	m, err := prism.New(cfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	w := &firewallWL{}
 	if _, err := m.Run(w); err != nil {
-		log.Fatal(err)
+		return err
+	}
+	if w.err != nil {
+		return w.err
 	}
 
-	fmt.Println("Memory firewall (PIT capability list) demo:")
-	fmt.Printf("  wild writes attempted by faulty node 7: %d\n", w.wildAttempts)
-	fmt.Printf("  access faults taken by node 7:          %d\n", w.wildFaults)
-	fmt.Printf("  firewall drops recorded at the home:    %d\n", w.drops)
-	fmt.Printf("  access faults at authorized node 1:     %d\n", w.goodFaults)
+	fmt.Fprintln(out, "Memory firewall (PIT capability list) demo:")
+	fmt.Fprintf(out, "  wild writes attempted by faulty node 7: %d\n", w.wildAttempts)
+	fmt.Fprintf(out, "  access faults taken by node 7:          %d\n", w.wildFaults)
+	fmt.Fprintf(out, "  firewall drops recorded at the home:    %d\n", w.drops)
+	fmt.Fprintf(out, "  access faults at authorized node 1:     %d\n", w.goodFaults)
 	if w.wildFaults > 0 && w.goodFaults == 0 {
-		fmt.Println("  ✓ wild writes contained; authorized traffic unaffected")
+		fmt.Fprintln(out, "  ✓ wild writes contained; authorized traffic unaffected")
 	} else {
-		fmt.Println("  ✗ unexpected outcome")
+		fmt.Fprintln(out, "  ✗ unexpected outcome")
+	}
+	return nil
+}
+
+func main() {
+	if err := report(os.Stdout); err != nil {
+		log.Fatal(err)
 	}
 }

@@ -7,13 +7,17 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"prism"
 	"prism/workloads"
 )
 
-func main() {
+// report runs FFT under SCOMA (the sizing pass) and under capped
+// Dyn-LRU, and writes the Dyn-LRU statistics and the comparison to w.
+func report(w io.Writer) error {
 	// A machine scaled for the CI-sized data sets (quarter-scale
 	// caches keep the capacity trade-off of §4.1 in play). The sized
 	// Config seeds prism.New; functional options layer on top of it.
@@ -23,11 +27,11 @@ func main() {
 	// paper does: 70% of the per-node maximum client frame count.
 	m0, err := prism.New(base, prism.WithPolicy("SCOMA"))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	pre, err := m0.Run(workloads.NewFFT(workloads.CISize))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	caps := make([]int, len(pre.MaxClientFrames))
 	for i, c := range pre.MaxClientFrames {
@@ -41,14 +45,21 @@ func main() {
 		prism.WithPageCacheCaps(caps),
 	)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	res, err := m.Run(workloads.NewFFT(workloads.CISize))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	fmt.Print(res)
-	fmt.Printf("\nSCOMA baseline cycles: %d  →  Dyn-LRU: %d (%.2fx)\n",
+	fmt.Fprint(w, res)
+	fmt.Fprintf(w, "\nSCOMA baseline cycles: %d  →  Dyn-LRU: %d (%.2fx)\n",
 		pre.Cycles, res.Cycles, float64(res.Cycles)/float64(pre.Cycles))
+	return nil
+}
+
+func main() {
+	if err := report(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
 }

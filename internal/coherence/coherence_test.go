@@ -18,10 +18,8 @@ import (
 
 type nopLocal struct{}
 
-func (nopLocal) Retrieve(pa mem.PAddr, inval bool, done func(at sim.Time, dirty bool)) {
-	done(0, false)
-}
-func (nopLocal) InvalidateFrameLines(f mem.FrameID) []int { return nil }
+func (nopLocal) Retrieve(pa mem.PAddr, inval bool, r Retrieval) { r.Retrieved(0, false) }
+func (nopLocal) InvalidateFrameLines(f mem.FrameID) []int       { return nil }
 
 type fixedRouter struct{ home mem.NodeID }
 
@@ -37,7 +35,7 @@ func mkCtrl(t *testing.T) (*Controller, *sim.Engine) {
 	p := pit.New(0, geom, pit.DefaultConfig)
 	d := directory.New(0, geom, directory.DefaultConfig)
 	var memRes sim.Resource
-	c := New(e, 0, geom, &tm, Config{}, p, d, net, &memRes, nopLocal{}, fixedRouter{home: 1}, nil)
+	c := New(e, 0, geom, &tm, Config{}, p, d, net, &memRes, nopLocal{}, fixedRouter{home: 1}, nil, new(MsgPools))
 	net.Attach(0, handlerFunc(func(src mem.NodeID, msg network.Message) { c.Deliver(src, msg) }))
 	net.Attach(1, handlerFunc(func(src mem.NodeID, msg network.Message) {}))
 	return c, e

@@ -66,13 +66,7 @@ func (c *Controller) lockLine(key lineKey, needAcks int, then txnThen) *homeTxn 
 	if c.home[key] != nil {
 		panic(fmt.Sprintf("coherence: node %d: line %v already locked", c.node, key))
 	}
-	var txn *homeTxn
-	if n := len(c.freeHome); n > 0 {
-		txn = c.freeHome[n-1]
-		c.freeHome = c.freeHome[:n-1]
-	} else {
-		txn = &homeTxn{}
-	}
+	txn := c.freeHome.Get()
 	txn.needAcks, txn.then = needAcks, then
 	c.home[key] = txn
 	return txn
@@ -82,8 +76,7 @@ func (c *Controller) lockLine(key lineKey, needAcks int, then txnThen) *homeTxn 
 func (c *Controller) unlockLine(key lineKey) {
 	if txn := c.home[key]; txn != nil {
 		delete(c.home, key)
-		*txn = homeTxn{}
-		c.freeHome = append(c.freeHome, txn)
+		c.freeHome.Put(txn)
 	}
 	c.drainQueue(key)
 }
@@ -98,14 +91,8 @@ func (c *Controller) drainQueue(key lineKey) {
 		delete(c.homeQ, key)
 		return
 	}
-	var ev *drainEvent
-	if n := len(c.freeDrainEv); n > 0 {
-		ev = c.freeDrainEv[n-1]
-		c.freeDrainEv = c.freeDrainEv[:n-1]
-	} else {
-		ev = &drainEvent{c: c}
-	}
-	ev.m, ev.key = q[0], key
+	ev := c.freeDrain.Get()
+	ev.c, ev.m, ev.key = c, q[0], key
 	if len(q) == 1 {
 		delete(c.homeQ, key)
 	} else {
@@ -123,7 +110,7 @@ type drainEvent struct {
 
 func (ev *drainEvent) OnEvent(sim.Time) {
 	c, m, key := ev.c, ev.m, ev.key
-	c.freeDrainEv = append(c.freeDrainEv, ev)
+	c.freeDrain.Put(ev)
 	c.handleGet(m.From, m, true)
 	if c.home[key] == nil {
 		c.drainQueue(key)
@@ -221,8 +208,8 @@ func (c *Controller) handleGet(src mem.NodeID, m GetMsg, requeued bool) {
 		// retrieve it over the home bus (Table 1: "2-party read/write
 		// to a modified line").
 		c.lockLine(key, 1, thenWired)
-		ev := c.getGetEvent()
-		ev.m, ev.src, ev.pa, ev.f, ev.key = m, src, pa, f, key
+		ev := c.freeGet.Get()
+		ev.c, ev.m, ev.src, ev.pa, ev.f, ev.key = c, m, src, pa, f, key
 		ev.ent, ev.line = ent, e
 		c.e.AtEvent(t, ev)
 
@@ -299,8 +286,8 @@ func (c *Controller) handleGet(src mem.NodeID, m GetMsg, requeued bool) {
 				if ent.Mode == pit.ModeSCOMA && ent.Tags[m.Line] != pit.TagTransit {
 					c.PIT.SetTag(f, m.Line, pit.TagInvalid)
 				}
-				ev := c.getAckEvent()
-				ev.pa, ev.key = pa, key
+				ev := c.freeAck.Get()
+				ev.c, ev.pa, ev.key = c, pa, key
 				c.e.AtEvent(t+stagger, ev)
 				continue
 			}
@@ -363,23 +350,22 @@ func (c *Controller) recallDone(txn *homeTxn, resp *RecallRespMsg) {
 
 // getEvent is the pooled bus-retrieve record for a 2-party Get whose
 // line is modified under the home's own processors (handleGet's first
-// case): its pre-bound doneFn updates the directory and replies without
-// allocating per-request closures.
+// case): its Retrieved updates the directory and replies.
 type getEvent struct {
-	c      *Controller
-	m      GetMsg
-	src    mem.NodeID
-	pa     mem.PAddr
-	f      mem.FrameID
-	key    lineKey
-	ent    *pit.Entry
-	line   *directory.Line
-	doneFn func(sim.Time, bool)
+	c    *Controller
+	m    GetMsg
+	src  mem.NodeID
+	pa   mem.PAddr
+	f    mem.FrameID
+	key  lineKey
+	ent  *pit.Entry
+	line *directory.Line
 }
 
-func (ev *getEvent) OnEvent(now sim.Time) { ev.c.local.Retrieve(ev.pa, ev.m.Excl, ev.doneFn) }
+func (ev *getEvent) OnEvent(sim.Time) { ev.c.local.Retrieve(ev.pa, ev.m.Excl, ev) }
 
-func (ev *getEvent) done(at sim.Time, dirty bool) {
+// Retrieved implements Retrieval.
+func (ev *getEvent) Retrieved(at sim.Time, dirty bool) {
 	c, m, e, src := ev.c, &ev.m, ev.line, ev.src
 	if dirty {
 		at = c.memAccess(at, c.tm.MemWrite)
@@ -404,47 +390,24 @@ func (ev *getEvent) done(at sim.Time, dirty bool) {
 	rm := c.memAccess(at, c.tm.MemRead)
 	c.reply(rm, src, *m, true, m.Excl, false, ev.f)
 	c.awaitGrantAck(ev.key)
-	ev.ent, ev.line = nil, nil
-	c.freeGetEv = append(c.freeGetEv, ev)
-}
-
-func (c *Controller) getGetEvent() *getEvent {
-	if n := len(c.freeGetEv); n > 0 {
-		ev := c.freeGetEv[n-1]
-		c.freeGetEv = c.freeGetEv[:n-1]
-		return ev
-	}
-	ev := &getEvent{c: c}
-	ev.doneFn = ev.done
-	return ev
+	c.freeGet.Put(ev)
 }
 
 // ackEvent is the pooled record for invalidating the home's own copy
 // of a line during a GETX: retrieve over the home bus, then ack.
 type ackEvent struct {
-	c      *Controller
-	pa     mem.PAddr
-	key    lineKey
-	doneFn func(sim.Time, bool)
+	c   *Controller
+	pa  mem.PAddr
+	key lineKey
 }
 
-func (ev *ackEvent) OnEvent(now sim.Time) { ev.c.local.Retrieve(ev.pa, true, ev.doneFn) }
+func (ev *ackEvent) OnEvent(sim.Time) { ev.c.local.Retrieve(ev.pa, true, ev) }
 
-func (ev *ackEvent) done(at sim.Time, _ bool) {
-	c := ev.c
-	c.freeAckEv = append(c.freeAckEv, ev)
-	c.ack(ev.key)
-}
-
-func (c *Controller) getAckEvent() *ackEvent {
-	if n := len(c.freeAckEv); n > 0 {
-		ev := c.freeAckEv[n-1]
-		c.freeAckEv = c.freeAckEv[:n-1]
-		return ev
-	}
-	ev := &ackEvent{c: c}
-	ev.doneFn = ev.done
-	return ev
+// Retrieved implements Retrieval.
+func (ev *ackEvent) Retrieved(sim.Time, bool) {
+	c, key := ev.c, ev.key
+	c.freeAck.Put(ev)
+	c.ack(key)
 }
 
 // clientHint returns the cached client frame for (page, node) when the

@@ -230,7 +230,6 @@ func (m *Machine) RecordCheckpoint(w Workload, at sim.Time) (*MachineSnapshot, R
 	if err != nil {
 		return nil, Results{}, err
 	}
-	m.lastSnap = rec.snap
 	if rec.snap == nil {
 		if rec.lastErr != nil {
 			return nil, res, fmt.Errorf("%w (target t=%d, %d fills examined, last rejection: %v)",
@@ -629,7 +628,6 @@ func (m *Machine) RestoreSnapshot(w Workload, snap *MachineSnapshot) error {
 	for _, p := range m.Procs {
 		p.SetReplay(false)
 	}
-	m.lastSnap = snap
 	m.ckptTrigger = snap.Trigger
 	m.ckptRestored = true
 	return nil
@@ -687,23 +685,4 @@ func ReadSnapshot(r io.Reader) (*MachineSnapshot, error) {
 		return nil, err
 	}
 	return &snap, nil
-}
-
-// Checkpoint writes the machine's most recent snapshot — captured by
-// RecordCheckpoint or loaded by Restore — to wr.
-func (m *Machine) Checkpoint(wr io.Writer) error {
-	if m.lastSnap == nil {
-		return fmt.Errorf("core: no snapshot captured on this machine (run RecordCheckpoint first)")
-	}
-	return WriteSnapshot(wr, m.lastSnap)
-}
-
-// Restore reads a snapshot from r and restores it on this machine (see
-// RestoreSnapshot). Follow with Resume.
-func (m *Machine) Restore(r io.Reader, w Workload) error {
-	snap, err := ReadSnapshot(r)
-	if err != nil {
-		return err
-	}
-	return m.RestoreSnapshot(w, snap)
 }

@@ -178,10 +178,8 @@ type Machine struct {
 	phaseStart   sim.Time
 	phaseEnd     sim.Time
 
-	// Checkpoint/restore bookkeeping (core/checkpoint.go): the snapshot
-	// most recently captured or restored on this machine, and the
+	// Checkpoint/restore bookkeeping (core/checkpoint.go): the
 	// restored trigger processor Resume must continue synchronously.
-	lastSnap     *MachineSnapshot
 	ckptTrigger  int
 	ckptRestored bool
 }
@@ -204,15 +202,14 @@ func NewMachine(cfg Config) (*Machine, error) {
 	// flows are directional (clients send Gets, homes retire them), so
 	// per-controller pools would fill on one side and stay empty on the
 	// other.
-	pools := coherence.NewMsgPools()
+	pools := new(coherence.MsgPools)
 	for i := 0; i < cfg.Nodes; i++ {
 		kc := cfg.Kernel
 		if cfg.PageCacheCaps != nil {
 			kc.PageCacheCap = cfg.PageCacheCaps[i]
 		}
 		k := kernel.New(m.E, mem.NodeID(i), cfg.Geometry, &m.tm, kc, m.Reg, m.Net, cfg.Policy)
-		n := node.New(m.E, mem.NodeID(i), cfg.Geometry, &m.tm, cfg.Node, m.Net, m.Reg, k)
-		n.Ctrl.UsePools(pools)
+		n := node.New(m.E, mem.NodeID(i), cfg.Geometry, &m.tm, cfg.Node, m.Net, m.Reg, k, pools)
 		m.Net.Attach(mem.NodeID(i), n)
 		n.RegisterMetrics(m.Metrics)
 		m.Nodes = append(m.Nodes, n)
@@ -290,15 +287,6 @@ func (m *Machine) Alloc(name string, bytes uint64) (mem.VAddr, error) {
 		}
 	}
 	return mem.NewVAddr(vsid, 0), nil
-}
-
-// MustAlloc is Alloc that panics on error (workload setup).
-func (m *Machine) MustAlloc(name string, bytes uint64) mem.VAddr {
-	a, err := m.Alloc(name, bytes)
-	if err != nil {
-		panic(err)
-	}
-	return a
 }
 
 // Ctx is a processor's view of a running workload.

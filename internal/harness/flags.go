@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"strings"
 
 	"prism/workloads"
@@ -64,12 +65,16 @@ func (c *CLI) RegisterFaults(fs *flag.FlagSet) {
 		"lossy-fabric spec: seed=N,drop=P,dup=P,delay=P[,delaymax=N,rto=N,rtomax=N,retry=N,<class>.<field>=V] (empty = perfect fabric)")
 }
 
-// Workers resolves -j / -seq into a harness worker count.
+// Workers resolves -j / -seq into the worker count a sweep uses: 1
+// under -seq, else -j, else (no -j, or -j 0) GOMAXPROCS.
 func (c *CLI) Workers() int {
-	if c.Seq {
+	switch {
+	case c.Seq:
 		return 1
+	case c.Jobs > 0:
+		return c.Jobs
 	}
-	return c.Jobs
+	return runtime.GOMAXPROCS(0)
 }
 
 // SizeNames lists the valid -size spellings in ascending scale order —

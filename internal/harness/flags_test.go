@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -39,6 +40,20 @@ func TestCLIRegistrationAndAccessors(t *testing.T) {
 	}
 	if plan := cfg.Faults; plan == nil || plan.Seed != 42 || plan.Default.Drop != 0.02 {
 		t.Fatalf("fault plan %+v", plan)
+	}
+}
+
+func TestCLIWorkersDefaultsToGOMAXPROCS(t *testing.T) {
+	for _, args := range [][]string{nil, {"-j", "0"}} {
+		var cli CLI
+		fs := NewFlagSet("test", io.Discard)
+		cli.RegisterParallel(fs)
+		if err := fs.Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := cli.Workers(), runtime.GOMAXPROCS(0); got != want {
+			t.Errorf("args %q: workers %d, want GOMAXPROCS %d", args, got, want)
+		}
 	}
 }
 

@@ -280,9 +280,6 @@ func (k *Kernel) convertToSCOMA(f mem.FrameID) {
 	k.ReleaseLANUMA(f, pit.ModeSCOMA, func(sim.Time) {})
 }
 
-// Node returns the kernel's node id.
-func (k *Kernel) Node() mem.NodeID { return k.node }
-
 // AttachPrivate binds vsid as a node-private segment: its pages get
 // Local-mode frames.
 func (k *Kernel) AttachPrivate(vsid mem.VSID) {

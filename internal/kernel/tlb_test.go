@@ -108,6 +108,7 @@ func BenchmarkPTEMiss(b *testing.B) {
 	k.ptSet(pages[0], PTE{Frame: 1})
 	k.ptSet(pages[1], PTE{Frame: 2})
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, ok := k.PTE(pages[i&1]); !ok {
 			b.Fatal("lost mapping")

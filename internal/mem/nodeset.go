@@ -49,16 +49,6 @@ func (s *NodeSet) Count() int {
 	return n
 }
 
-// Empty reports whether no bit is set.
-func (s *NodeSet) Empty() bool {
-	for _, w := range s {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // List appends the set's members in ascending node order to buf and
 // returns the extended slice (pass nil to allocate).
 func (s *NodeSet) List(buf []NodeID) []NodeID {

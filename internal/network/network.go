@@ -13,6 +13,7 @@ import (
 
 	"prism/internal/mem"
 	"prism/internal/metrics"
+	"prism/internal/pool"
 	"prism/internal/sim"
 )
 
@@ -51,13 +52,12 @@ type Network struct {
 	sendNI   []sim.Resource
 	recvNI   []sim.Resource
 
-	// free is a free list of inflight events. Message delivery is the
-	// hottest event shape after coroutine steps, so in-flight messages
-	// ride pooled two-stage event objects instead of allocating two
-	// closures each; the pool grows to the peak in-flight count and
-	// then the steady state allocates nothing. Single-goroutine like
-	// everything else hanging off one engine.
-	free []*inflight
+	// free recycles inflight events. Message delivery is the hottest
+	// event shape after coroutine steps, so in-flight messages ride
+	// pooled two-stage event objects instead of allocating two closures
+	// each; the pool grows to the peak in-flight count and then the
+	// steady state allocates nothing.
+	free pool.Free[inflight]
 
 	// tr is the fault-injection recovery transport (transport.go), nil
 	// unless a fault plan is active. The fault-free hot path pays one
@@ -88,8 +88,7 @@ func (d *inflight) OnEvent(now sim.Time) {
 		return
 	}
 	n, src, dst, msg := d.n, d.src, d.dst, d.msg
-	d.msg = nil // release the payload before pooling
-	n.free = append(n.free, d)
+	n.free.Put(d)
 	if n.tr != nil {
 		// With the recovery transport armed every wire message is an
 		// envelope or a transport ack; unwrap before the handler.
@@ -171,14 +170,8 @@ func (n *Network) Send(at sim.Time, src, dst mem.NodeID, size int, msg Message) 
 // scheduleInflight books a pooled two-stage delivery event: receive-NI
 // occupancy at arrive, then handler invocation.
 func (n *Network) scheduleInflight(src, dst mem.NodeID, msg Message, occ sim.Time, arrive sim.Time) {
-	var d *inflight
-	if len(n.free) > 0 {
-		d = n.free[len(n.free)-1]
-		n.free = n.free[:len(n.free)-1]
-	} else {
-		d = &inflight{n: n}
-	}
-	d.src, d.dst, d.msg, d.occ, d.arrived = src, dst, msg, occ, false
+	d := n.free.Get()
+	d.n, d.src, d.dst, d.msg, d.occ = n, src, dst, msg, occ
 	n.e.AtEvent(arrive, d)
 }
 

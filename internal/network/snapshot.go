@@ -5,6 +5,7 @@ import (
 
 	"prism/internal/fault"
 	"prism/internal/mem"
+	"prism/internal/pool"
 	"prism/internal/sim"
 )
 
@@ -226,5 +227,5 @@ func (n *Network) ImportState(s NetworkState) {
 		}
 		n.tr.pending = make(map[pendKey]*pendingMsg)
 	}
-	n.free = nil
+	n.free = pool.Free[inflight]{}
 }

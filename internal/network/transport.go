@@ -6,6 +6,7 @@ import (
 	"prism/internal/fault"
 	"prism/internal/mem"
 	"prism/internal/metrics"
+	"prism/internal/pool"
 	"prism/internal/sim"
 )
 
@@ -106,9 +107,9 @@ type transport struct {
 	links   []linkState
 	pending map[pendKey]*pendingMsg
 
-	freePend []*pendingMsg
-	freeEnv  []*envelope
-	freeAck  []*wireAck
+	freePend pool.Free[pendingMsg]
+	freeEnv  pool.Free[envelope]
+	freeAck  pool.Free[wireAck]
 
 	stats     TransportStats
 	histRetry *metrics.Histogram
@@ -169,19 +170,12 @@ func (tr *transport) send(at sim.Time, src, dst mem.NodeID, size int, msg Messag
 	seq := tr.link(src, dst).sendNext
 	tr.link(src, dst).sendNext++
 
-	var p *pendingMsg
-	if k := len(tr.freePend); k > 0 {
-		p = tr.freePend[k-1]
-		tr.freePend = tr.freePend[:k-1]
-	} else {
-		p = &pendingMsg{tr: tr}
-	}
-	p.src, p.dst, p.seq, p.msg, p.size = src, dst, seq, msg, size
+	p := tr.freePend.Get()
+	p.tr, p.src, p.dst, p.seq, p.msg, p.size = tr, src, dst, seq, msg, size
 	p.class = fault.ClassOf(msg)
 	p.attempts = 1
 	p.rto = tr.rto
 	p.firstSend = at
-	p.acked = false
 	tr.pending[pendKey{src, dst, seq}] = p
 
 	injected := tr.transmit(p, at)
@@ -199,10 +193,12 @@ func (tr *transport) transmit(p *pendingMsg, at sim.Time) sim.Time {
 	if d.Drop {
 		return injected
 	}
-	env := tr.getEnvelope(p.seq, p.class, p.msg)
+	env := tr.freeEnv.Get()
+	env.seq, env.class, env.msg = p.seq, p.class, p.msg
 	n.scheduleInflight(p.src, p.dst, env, occ, injected+n.cfg.Latency+d.Delay)
 	if d.Dup {
-		dup := tr.getEnvelope(p.seq, p.class, p.msg)
+		dup := tr.freeEnv.Get()
+		*dup = *env
 		n.scheduleInflight(p.src, p.dst, dup, occ, injected+n.cfg.Latency+d.DupDelay)
 	}
 	return injected
@@ -213,8 +209,7 @@ func (tr *transport) transmit(p *pendingMsg, at sim.Time) sim.Time {
 func (p *pendingMsg) OnEvent(now sim.Time) {
 	tr := p.tr
 	if p.acked {
-		p.msg = nil
-		tr.freePend = append(tr.freePend, p)
+		tr.freePend.Put(p)
 		return
 	}
 	tr.stats.Timeouts[p.class]++
@@ -247,12 +242,12 @@ func (tr *transport) deliverEnvelope(now sim.Time, src, dst mem.NodeID, env *env
 	switch {
 	case env.seq < link.recvNext:
 		tr.stats.DupSuppressed[env.class]++
-		tr.putEnvelope(env)
+		tr.freeEnv.Put(env)
 
 	case env.seq == link.recvNext:
 		link.recvNext++
 		msg := env.msg
-		tr.putEnvelope(env)
+		tr.freeEnv.Put(env)
 		tr.n.handlers[dst].Deliver(src, msg)
 		for {
 			held, ok := link.held[link.recvNext]
@@ -262,7 +257,7 @@ func (tr *transport) deliverEnvelope(now sim.Time, src, dst mem.NodeID, env *env
 			delete(link.held, link.recvNext)
 			link.recvNext++
 			m := held.msg
-			tr.putEnvelope(held)
+			tr.freeEnv.Put(held)
 			tr.n.handlers[dst].Deliver(src, m)
 		}
 
@@ -272,7 +267,7 @@ func (tr *transport) deliverEnvelope(now sim.Time, src, dst mem.NodeID, env *env
 		}
 		if _, dup := link.held[env.seq]; dup {
 			tr.stats.DupSuppressed[env.class]++
-			tr.putEnvelope(env)
+			tr.freeEnv.Put(env)
 			return
 		}
 		tr.stats.Reordered[env.class]++
@@ -291,17 +286,20 @@ func (tr *transport) sendAck(at sim.Time, from, to mem.NodeID, seq uint64) {
 	if d.Drop {
 		return
 	}
-	a := tr.getAck(seq)
+	a := tr.freeAck.Get()
+	a.seq = seq
 	n.scheduleInflight(from, to, a, occ, injected+n.cfg.Latency+d.Delay)
 	if d.Dup {
-		n.scheduleInflight(from, to, tr.getAck(seq), occ, injected+n.cfg.Latency+d.DupDelay)
+		dup := tr.freeAck.Get()
+		dup.seq = seq
+		n.scheduleInflight(from, to, dup, occ, injected+n.cfg.Latency+d.DupDelay)
 	}
 }
 
 // deliverAck runs at the original sender. src is the acking node.
 func (tr *transport) deliverAck(now sim.Time, src, dst mem.NodeID, a *wireAck) {
 	key := pendKey{src: dst, dst: src, seq: a.seq}
-	tr.freeAck = append(tr.freeAck, a)
+	tr.freeAck.Put(a)
 	p, ok := tr.pending[key]
 	if !ok {
 		// Duplicate or stale ack: the record was already acked and removed.
@@ -335,31 +333,6 @@ func (n *Network) CheckQuiesced() error {
 		}
 	}
 	return nil
-}
-
-func (tr *transport) getEnvelope(seq uint64, class fault.Class, msg Message) *envelope {
-	if k := len(tr.freeEnv); k > 0 {
-		e := tr.freeEnv[k-1]
-		tr.freeEnv = tr.freeEnv[:k-1]
-		e.seq, e.class, e.msg = seq, class, msg
-		return e
-	}
-	return &envelope{seq: seq, class: class, msg: msg}
-}
-
-func (tr *transport) putEnvelope(e *envelope) {
-	e.msg = nil
-	tr.freeEnv = append(tr.freeEnv, e)
-}
-
-func (tr *transport) getAck(seq uint64) *wireAck {
-	if k := len(tr.freeAck); k > 0 {
-		a := tr.freeAck[k-1]
-		tr.freeAck = tr.freeAck[:k-1]
-		a.seq = seq
-		return a
-	}
-	return &wireAck{seq: seq}
 }
 
 // registerMetrics exposes injector and recovery counters under the "fault"

@@ -17,6 +17,7 @@ import (
 	"prism/internal/metrics"
 	"prism/internal/network"
 	"prism/internal/pit"
+	"prism/internal/pool"
 	"prism/internal/sim"
 	"prism/internal/timing"
 )
@@ -86,9 +87,8 @@ type Node struct {
 	// holds the line, and the snooping paths skip their probes.
 	l2Filter *cache.Filter
 
-	// freeRetrieve pools Retrieve completion events (engine-confined,
-	// like every structure hanging off one engine).
-	freeRetrieve []*retrieveEvent
+	// freeRetrieve recycles Retrieve completion events.
+	freeRetrieve pool.Free[retrieveEvent]
 
 	// invScratch/invOut are InvalidateFrameLines' reused per-line dirty
 	// bitmap and result buffer (valid until the next call).
@@ -100,9 +100,10 @@ type Node struct {
 
 // New builds a node and its controller, binding the kernel to both.
 // The kernel must already exist (it and the controller are mutually
-// referential).
+// referential). pools is the machine's message pool set, which every
+// node's controller shares.
 func New(e *sim.Engine, id mem.NodeID, geom mem.Geometry, tm *timing.T, cfg Config,
-	net *network.Network, router coherence.HomeRouter, kern *kernel.Kernel) *Node {
+	net *network.Network, router coherence.HomeRouter, kern *kernel.Kernel, pools *coherence.MsgPools) *Node {
 
 	n := &Node{ID: id, e: e, geom: geom, tm: tm, Kern: kern}
 	n.addrBus.Name = fmt.Sprintf("node%d.abus", id)
@@ -111,7 +112,7 @@ func New(e *sim.Engine, id mem.NodeID, geom mem.Geometry, tm *timing.T, cfg Conf
 
 	p := pit.New(id, geom, cfg.PITConfig)
 	d := directory.New(id, geom, cfg.DirConfig)
-	n.Ctrl = coherence.New(e, id, geom, tm, cfg.CtrlCfg, p, d, net, &n.memRes, n, router, kern)
+	n.Ctrl = coherence.New(e, id, geom, tm, cfg.CtrlCfg, p, d, net, &n.memRes, n, router, kern, pools)
 	kern.Bind(n.Ctrl, n)
 
 	n.l2Filter = cache.NewFilter(cfg.Procs*(cfg.L2.Size/cfg.L2.LineSize), cfg.L2.LineSize)
@@ -335,7 +336,7 @@ func (n *Node) finishFill(p *Proc, la mem.PAddr, st cache.State, t sim.Time) {
 // Retrieve implements coherence.Local: a controller-initiated bus
 // transaction that collects the latest copy of la from the processor
 // caches, downgrading or invalidating them.
-func (n *Node) Retrieve(pa mem.PAddr, inval bool, done func(at sim.Time, dirty bool)) {
+func (n *Node) Retrieve(pa mem.PAddr, inval bool, r coherence.Retrieval) {
 	t := n.e.Now()
 	grant := n.addrBus.Acquire(t, n.tm.BusArb+n.tm.BusAddr)
 	t = grant + n.tm.BusArb + n.tm.BusAddr
@@ -347,32 +348,24 @@ func (n *Node) Retrieve(pa mem.PAddr, inval bool, done func(at sim.Time, dirty b
 	if dirty {
 		t = n.dataBus.Acquire(t, n.tm.BusData) + n.tm.BusData
 	}
-	var ev *retrieveEvent
-	if k := len(n.freeRetrieve); k > 0 {
-		ev = n.freeRetrieve[k-1]
-		n.freeRetrieve = n.freeRetrieve[:k-1]
-	} else {
-		ev = &retrieveEvent{n: n}
-	}
-	ev.done, ev.dirty = done, dirty
+	ev := n.freeRetrieve.Get()
+	ev.n, ev.r, ev.dirty = n, r, dirty
 	n.e.AtEvent(t, ev)
 }
 
-// retrieveEvent is a pooled completion event for Retrieve: the wrapper
-// that defers the caller's done continuation to the bus-settled time
-// without allocating a closure per retrieval.
+// retrieveEvent is a pooled completion event for Retrieve: it defers
+// the caller's continuation to the bus-settled time.
 type retrieveEvent struct {
 	n     *Node
-	done  func(at sim.Time, dirty bool)
+	r     coherence.Retrieval
 	dirty bool
 }
 
 // OnEvent implements sim.EventHandler.
 func (ev *retrieveEvent) OnEvent(now sim.Time) {
-	n, done, dirty := ev.n, ev.done, ev.dirty
-	ev.done = nil // release the continuation before pooling
-	n.freeRetrieve = append(n.freeRetrieve, ev)
-	done(now, dirty)
+	n, r, dirty := ev.n, ev.r, ev.dirty
+	n.freeRetrieve.Put(ev)
+	r.Retrieved(now, dirty)
 }
 
 // InvalidateFrameLines implements coherence.Local: bulk-invalidate

@@ -5,6 +5,7 @@ import (
 
 	"prism/internal/cache"
 	"prism/internal/mem"
+	"prism/internal/pool"
 	"prism/internal/sim"
 )
 
@@ -69,7 +70,7 @@ type Proc struct {
 	faultDone  func(at sim.Time, f mem.FrameID, ok bool)
 	lockEv     hwLockEvent
 	lockDone   func(at sim.Time)
-	freeUnlock []*hwUnlockEvent // pooled posted-unlock events
+	freeUnlock pool.Free[hwUnlockEvent] // posted-unlock events
 
 	// replay marks checkpoint-replay mode (core/checkpoint.go): memory
 	// references and compute become no-ops and hardware sync operations
@@ -214,7 +215,7 @@ func (ev *hwUnlockEvent) OnEvent(now sim.Time) {
 	p := ev.p
 	ent, cost := p.n.Ctrl.PIT.Lookup(ev.f)
 	p.n.Ctrl.LockRelease(now+cost, ev.f, ev.ln, ent)
-	p.freeUnlock = append(p.freeUnlock, ev)
+	p.freeUnlock.Put(ev)
 }
 
 // SetTracer installs (or clears, with nil) a reference tracer.
@@ -491,14 +492,8 @@ func (p *Proc) HWUnlock(va mem.VAddr) {
 	p.now += p.n.tm.L1Hit
 	f := p.translate(va)
 	ln := mem.NewPAddr(g, f, va.PageOffset(g)).Line(g)
-	var ev *hwUnlockEvent
-	if k := len(p.freeUnlock); k > 0 {
-		ev = p.freeUnlock[k-1]
-		p.freeUnlock = p.freeUnlock[:k-1]
-	} else {
-		ev = &hwUnlockEvent{p: p}
-	}
-	ev.f, ev.ln = f, ln
+	ev := p.freeUnlock.Get()
+	ev.p, ev.f, ev.ln = p, f, ln
 	p.n.e.AtEvent(p.now, ev)
 	p.maybeYield()
 }

@@ -51,6 +51,12 @@ func TestCheckInvariantsAuditsCaches(t *testing.T) {
 	oneLine(m.CheckInvariants(), "node 0: cache: filter bucket")
 }
 
+// sawDirty is a retrieve continuation that records whether any
+// retrieve found a Modified copy.
+type sawDirty bool
+
+func (s *sawDirty) Retrieved(_ sim.Time, dirty bool) { *s = *s || sawDirty(dirty) }
+
 // BenchmarkBusSnoop measures one controller-initiated bus transaction
 // (Node.Retrieve of a line, downgrading any copy) with its snoop of the
 // node's four processors, and its completion event: once for a line no
@@ -71,15 +77,14 @@ func BenchmarkBusSnoop(b *testing.B) {
 				q.L2().Insert(pa, cache.Shared)
 				q.L1().Insert(pa, cache.Shared)
 			}
-			var sawDirty bool
-			done := func(_ sim.Time, dirty bool) { sawDirty = sawDirty || dirty }
+			var done sawDirty
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				n.Retrieve(pa, false, done)
+				n.Retrieve(pa, false, &done)
 				m.E.RunUntilIdle()
 			}
-			if sawDirty {
+			if done {
 				b.Fatal("a Shared copy reported dirty")
 			}
 			if got := n.Procs[1].L2().Probe(pa) != cache.Invalid; got != held {

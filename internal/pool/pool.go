@@ -1,9 +1,9 @@
-// Package pool provides the tiny free-list primitive behind the
-// simulator's allocation-free steady state: a LIFO stack of recycled
-// objects owned by exactly one engine-confined component.
+// Package pool provides the one free list behind the simulator's
+// allocation-free steady state: a LIFO stack of recycled records
+// (protocol messages, transactions, events) owned by engine-confined
+// components.
 //
-// Like the pooled event objects of the sim engine and network, a Free
-// list is deliberately not synchronized: every pool hangs off one
+// A Free list is deliberately not synchronized: every pool hangs off one
 // model component, which a single goroutine drives (the one-owner
 // invariant documented in internal/sim). Pools may be shared across
 // the components of one machine — a message acquired from node A's
@@ -13,7 +13,10 @@
 // Get returns a zeroed object; Put zeroes before pooling so stale
 // fields from a previous life can never leak into the next one (the
 // same discipline keeps the protocol byte-identical with pooling on
-// or off: a recycled message is indistinguishable from a fresh one).
+// or off: a recycled record is indistinguishable from a fresh one).
+// Because Put zeroes the whole record, a record that points back at
+// its owner gets that pointer set again at every Get, and reads its
+// own fields before it puts itself back.
 package pool
 
 // Free is a LIFO free list of *T. The zero value is ready to use.

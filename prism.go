@@ -63,10 +63,6 @@ type (
 	// FaultRates holds per-transmission drop/duplicate/delay
 	// probabilities for the fault injector (see WithFaults).
 	FaultRates = fault.Rates
-	// FaultPlan is a complete seeded fault schedule: default and
-	// per-class rates, scripted one-shot faults, and the recovery
-	// transport's timeout/retry tuning (see WithFaultPlan).
-	FaultPlan = fault.Plan
 )
 
 // optionFunc adapts a function to the Option interface.
@@ -121,15 +117,6 @@ func WithPolicy(name string) Option {
 	})
 }
 
-// WithPolicyValue installs an already-constructed policy (for
-// parameterized policies like DynBoth).
-func WithPolicyValue(p Policy) Option {
-	return optionFunc(func(c *core.Config) error {
-		c.Policy = p
-		return nil
-	})
-}
-
 // WithHardwareSync routes workload locks through Sync-mode pages
 // (§3.2): queue locks at the home controller instead of test-and-set
 // over coherent lines.
@@ -158,15 +145,6 @@ func WithPageCacheCaps(caps []int) Option {
 func WithFaults(seed int64, rates FaultRates) Option {
 	return optionFunc(func(c *core.Config) error {
 		c.Faults = &fault.Plan{Seed: seed, Default: rates}
-		return nil
-	})
-}
-
-// WithFaultPlan installs a complete fault plan: per-class rates,
-// scripted one-shot faults, and recovery tuning. nil clears faults.
-func WithFaultPlan(plan *FaultPlan) Option {
-	return optionFunc(func(c *core.Config) error {
-		c.Faults = plan
 		return nil
 	})
 }

@@ -178,12 +178,6 @@ func Lookup(name string) (*Descriptor, bool) {
 	return d, ok
 }
 
-// Descriptors returns every registered workload in registration order
-// (paper order for the SPLASH kernels, then the extras).
-func Descriptors() []*Descriptor {
-	return append([]*Descriptor(nil), regOrder...)
-}
-
 // NewWorkload builds the named workload at size with parameter
 // overrides — the registry-native constructor behind ByName.
 func NewWorkload(name string, size Size, params Params) (prism.Workload, error) {
