@@ -31,6 +31,7 @@ import (
 	"prism/internal/harness"
 	"prism/internal/metrics"
 	"prism/internal/testcase"
+	"prism/workloads"
 )
 
 func main() {
@@ -105,14 +106,14 @@ func runCreate(args []string, stdout, stderr io.Writer) int {
 	if c.App == testcase.ChaosName {
 		c.Size = ""
 	} else {
-		// -workload speaks the harness app-spec grammar; the case
-		// stores its canonical spelling, the sweep's CSV label.
-		canon, err := harness.CanonicalAppSpec(*wl)
+		// -workload speaks the app-spec grammar; the case stores its
+		// canonical spelling, the sweep's CSV label.
+		app, err := workloads.ParseApp(*wl)
 		if err != nil {
 			fmt.Fprintf(stderr, "prismcase create: %v\n", err)
 			return 2
 		}
-		c.App = canon
+		c.App = app.String()
 	}
 	if c.Name == "" {
 		app, _, _ := strings.Cut(c.App, ":")

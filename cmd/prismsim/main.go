@@ -8,13 +8,14 @@
 //	prismsim -app fft,ocean -policy SCOMA,Dyn-LRU -size ci -j 8
 //	prismsim -app fft -policy SCOMA -faults seed=42,drop=0.02,dup=0.01
 //
-// Capped policies (SCOMA-70, Dyn-*) automatically run a SCOMA sizing
-// pass first, exactly like the paper's methodology. With comma-
-// separated -app/-policy lists the cells execute concurrently on -j
-// workers (default: all host cores; -seq forces one at a time); every
+// Every invocation is a sweep (harness.Run): capped policies (SCOMA-70,
+// Dyn-*) take their caps from a SCOMA sizing pass first, exactly like
+// the paper's methodology, and the cells execute concurrently on -j
+// workers (default: all host cores; -seq forces one at a time). Every
 // cell owns a private machine, so the printed results are identical at
-// any -j, in app-major, policy-minor order. A single cell runs exactly
-// as the same cell of a list does.
+// any -j, in app-major, policy-minor order, and a single cell prints
+// exactly what the same cell of a list prints. Progress lines go to
+// stderr.
 //
 // -faults makes the interconnect lossy under a seeded deterministic
 // schedule; the network's recovery transport (timeouts, retransmission,
@@ -26,7 +27,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"prism/internal/harness"
@@ -63,36 +63,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := opts.Normalize(); err != nil {
 		return fail(stderr, err)
 	}
-	if len(opts.Apps) > 1 || len(opts.Policies) > 1 {
-		runs, err := harness.Run(opts)
-		if err != nil {
-			return fail(stderr, err)
-		}
-		for _, ar := range runs {
-			for _, p := range opts.Policies {
-				if res, ok := ar.ByPol[p]; ok {
-					fmt.Fprint(stdout, res)
-				}
+	runs, err := harness.Run(opts)
+	if err != nil {
+		return fail(stderr, err)
+	}
+	for _, ar := range runs {
+		for _, p := range opts.Policies {
+			if res, ok := ar.ByPol[p]; ok {
+				fmt.Fprint(stdout, res)
 			}
 		}
-		return 0
 	}
-
-	cell, err := opts.Cell(opts.Apps[0], opts.Policies[0], nil).Sized(opts.CapFraction)
-	if err != nil {
-		return fail(stderr, err)
-	}
-	if cell.Caps != nil {
-		fmt.Fprintf(stderr, "page-cache caps per node: %v\n", cell.Caps)
-	}
-	res, err := harness.RunCell(cell, opts.MetricsDir)
-	if err != nil {
-		return fail(stderr, err)
-	}
-	if opts.MetricsDir != "" {
-		fmt.Fprintf(stderr, "wrote %s\n", filepath.Join(opts.MetricsDir, cell.Name()+".json"))
-	}
-	fmt.Fprint(stdout, res)
 	return 0
 }
 

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	prismtrace -app radix -size mini [-top 20] [-csv pages.csv]
-//	prismtrace -app synth -ops 5000 -writes 40
+//	prismtrace -app 'synth:ops=5000;writes=40'
 package main
 
 import (
@@ -17,7 +17,6 @@ import (
 	"prism"
 	"prism/internal/harness"
 	"prism/internal/trace"
-	"prism/workloads"
 )
 
 func main() {
@@ -33,42 +32,26 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) error {
 	var cli harness.CLI
 	fs := harness.NewFlagSet("prismtrace", stderr)
-	app := fs.String("app", "fft", "app spec, name[:key=val,key=val] (or 'synth')")
+	app := fs.String("app", "fft", "app spec, name[:key=val;key=val]")
 	cli.RegisterSize(fs, "mini")
 	pol := fs.String("policy", "SCOMA", "page-mode policy")
 	top := fs.Int("top", 16, "hottest pages to print")
 	csv := fs.String("csv", "", "write per-page profile CSV to this file")
-	ops := fs.Int("ops", 2000, "synth: shared ops per iteration")
-	writes := fs.Int("writes", 30, "synth: store percentage")
-	random := fs.Int("random", 25, "synth: hot-set percentage")
 	cli.RegisterFaults(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
 	// A capped policy runs with the caps the sweep's sizing pass would
-	// give it; synth is built here, not registered, so it is never sized.
-	cell := harness.Cell{App: *app, Policy: *pol, Size: cli.Spec.Size, Faults: cli.Spec.Faults}
-	var w prism.Workload
-	var err error
-	if *app == "synth" {
-		sc := workloads.DefaultSynthConfig()
-		sc.OpsPerIter = *ops
-		sc.WritePct = *writes
-		sc.RandomPct = *random
-		if err := sc.Validate(); err != nil {
-			return err
-		}
-		w = workloads.NewSynth(sc)
-	} else {
-		if cell, err = cell.Sized(0); err != nil {
-			return err
-		}
-		if w, err = cell.Workload(); err != nil {
-			return err
-		}
+	// give it.
+	cell, err := harness.Cell{App: *app, Policy: *pol, Size: cli.Spec.Size, Faults: cli.Spec.Faults}.Sized(0)
+	if err != nil {
+		return err
 	}
-
+	w, err := cell.Workload()
+	if err != nil {
+		return err
+	}
 	cfg, err := cell.Config()
 	if err != nil {
 		return err

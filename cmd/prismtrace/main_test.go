@@ -14,7 +14,7 @@ var update = flag.Bool("update", false, "rewrite the golden file")
 // compares the full profile output against a committed golden file.
 // Regenerate with: go test ./cmd/prismtrace -run Golden -update
 func TestGoldenSynth(t *testing.T) {
-	args := []string{"-app", "synth", "-ops", "300", "-writes", "30", "-random", "25", "-top", "4"}
+	args := []string{"-app", "synth:ops=300;writes=30;random=25", "-top", "4"}
 	var out, errb strings.Builder
 	if err := run(args, &out, &errb); err != nil {
 		t.Fatalf("run: %v (stderr: %s)", err, errb.String())
@@ -42,7 +42,7 @@ func TestGoldenSynth(t *testing.T) {
 func TestCSVOutput(t *testing.T) {
 	csv := filepath.Join(t.TempDir(), "pages.csv")
 	var out, errb strings.Builder
-	if err := run([]string{"-app", "synth", "-ops", "100", "-csv", csv}, &out, &errb); err != nil {
+	if err := run([]string{"-app", "synth:ops=100", "-csv", csv}, &out, &errb); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	b, err := os.ReadFile(csv)

@@ -121,6 +121,49 @@ func TestMigrateOutInTombstone(t *testing.T) {
 	}
 }
 
+// TestMigrationWindowHoldsWBAndFlush: a writeback and a flush that
+// reach the old home inside a migration window are held, not
+// forwarded, until ReleasePage; then both chase the page to its new
+// home, in arrival order and intact.
+func TestMigrationWindowHoldsWBAndFlush(t *testing.T) {
+	c, e := mkCtrl(t)
+	var got []network.Message
+	c.net.Attach(1, handlerFunc(func(src mem.NodeID, msg network.Message) {
+		switch m := msg.(type) {
+		case *WBMsg:
+			v := *m
+			got = append(got, &v)
+		case *FlushMsg:
+			v := *m
+			got = append(got, &v)
+		}
+	}))
+	g := mem.GPage{Seg: 1, Page: 3}
+	c.Dir.AddPage(g, 0)
+	c.MigrateOut(g, 1)
+	c.Deliver(1, &WBMsg{Page: g, Line: 2, HomeFrameOK: true})
+	c.Deliver(1, &FlushMsg{Page: g, DirtyLines: []int{4, 9}, Drop: true, HomeFrameOK: true, From: 1, Token: 77})
+	e.RunUntilIdle()
+	if len(got) != 0 || c.Stats.Forwards != 0 {
+		t.Fatalf("inside the window: %d sent, %d forwards; want both held", len(got), c.Stats.Forwards)
+	}
+
+	c.ReleasePage(g)
+	e.RunUntilIdle()
+	if len(got) != 2 || c.Stats.Forwards != 2 {
+		t.Fatalf("after release: %d sent, %d forwards; want 2 and 2", len(got), c.Stats.Forwards)
+	}
+	wb, ok := got[0].(*WBMsg)
+	if !ok || wb.Page != g || wb.Line != 2 || wb.HomeFrameOK {
+		t.Errorf("forwarded writeback %+v", got[0])
+	}
+	fl, ok := got[1].(*FlushMsg)
+	if !ok || fl.Page != g || fl.HomeFrameOK || !fl.Drop || fl.From != 1 || fl.Token != 77 ||
+		len(fl.DirtyLines) != 2 || fl.DirtyLines[0] != 4 || fl.DirtyLines[1] != 9 {
+		t.Errorf("forwarded flush %+v", got[1])
+	}
+}
+
 func TestHotPagesOrdering(t *testing.T) {
 	c, _ := mkCtrl(t)
 	a := mem.GPage{Seg: 1, Page: 1}

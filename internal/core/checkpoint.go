@@ -649,20 +649,7 @@ func (m *Machine) Resume(w Workload) (Results, error) {
 		trig.Coro().Step()
 	}
 	m.E.RunUntilIdle()
-
-	var blocked []string
-	for _, p := range m.Procs {
-		if !p.Coro().Done() {
-			blocked = append(blocked, p.Coro().Label)
-		}
-	}
-	if len(blocked) > 0 {
-		return Results{}, fmt.Errorf("core: deadlock at t=%d after resume; blocked: %v", m.E.Now(), blocked)
-	}
-	if m.phaseEnd == 0 {
-		m.phaseEnd = m.maxProcTime()
-	}
-	return m.collect(w), nil
+	return m.finish(w)
 }
 
 // ---------------------------------------------------------------------------

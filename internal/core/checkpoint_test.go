@@ -19,6 +19,9 @@ type ckptWorkload struct {
 	iters int
 	words int
 	buf   mem.VAddr
+	// leak makes the last iteration take lock 2 and never release it,
+	// so every processor but its holder blocks: a deadlock.
+	leak bool
 }
 
 func (w *ckptWorkload) Name() string { return "ckpt-smoke" }
@@ -43,6 +46,9 @@ func (w *ckptWorkload) Run(ctx *Ctx) {
 		p.Lock(1)
 		p.Compute(20)
 		p.Unlock(1)
+		if w.leak && it == w.iters-1 {
+			p.Lock(2)
+		}
 		p.Barrier(1)
 	}
 	ctx.EndParallel()
@@ -66,6 +72,24 @@ func newCkptMachine(t *testing.T) *Machine {
 		t.Fatal(err)
 	}
 	return m
+}
+
+// TestResumeDeadlockReportsLikeRun: a run that deadlocks after a
+// restore fails the way an uninterrupted run that deadlocks does.
+func TestResumeDeadlockReportsLikeRun(t *testing.T) {
+	_, runErr := newCkptMachine(t).Run(&ckptWorkload{iters: 6, words: 512, leak: true})
+	snap, _, err := newCkptMachine(t).RecordCheckpoint(&ckptWorkload{iters: 6, words: 512}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := newCkptMachine(t)
+	if err := m.RestoreSnapshot(&ckptWorkload{iters: 6, words: 512, leak: true}, snap); err != nil {
+		t.Fatal(err)
+	}
+	_, resumeErr := m.Resume(&ckptWorkload{iters: 6, words: 512, leak: true})
+	if runErr == nil || resumeErr == nil || runErr.Error() != resumeErr.Error() {
+		t.Errorf("deadlock reports differ:\nrun:    %v\nresume: %v", runErr, resumeErr)
+	}
 }
 
 // TestCheckpointResumeMatchesUninterrupted is the core record → restore

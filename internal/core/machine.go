@@ -392,7 +392,13 @@ func (m *Machine) Run(w Workload) (Results, error) {
 		m.E.ScheduleStep(0, p.Coro())
 	}
 	m.E.RunUntilIdle()
+	return m.finish(w)
+}
 
+// finish ends a run (Run's, or Resume's) once the engine has drained:
+// a processor still blocked is a deadlock, reported with every
+// controller's state; otherwise the results are collected.
+func (m *Machine) finish(w Workload) (Results, error) {
 	var blocked []string
 	for _, p := range m.Procs {
 		if !p.Coro().Done() {

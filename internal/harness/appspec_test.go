@@ -1,80 +1,43 @@
 package harness
 
-// The app-spec grammar gate: one parser, one canonical spelling, and
-// sweeps that are byte-identical across -j worker counts when driven
-// through parameterized specs.
+// Sweeps over app specs: canonical row labels, byte-identical across
+// -j worker counts, and normalizing that builds no workload.
 
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"strings"
 	"testing"
 
+	"prism"
 	"prism/workloads"
 )
 
-func TestSplitAppSpec(t *testing.T) {
-	good := []struct {
-		spec string
-		name string
-		want workloads.Params
-	}{
-		{"kv", "kv", nil},
-		{" FFT ", "FFT", nil},
-		{"kv:keys=100", "kv", workloads.Params{"keys": "100"}},
-		{"kv:keys=100,ops=5", "kv", workloads.Params{"keys": "100", "ops": "5"}},
-		{"kv:keys=100;ops=5", "kv", workloads.Params{"keys": "100", "ops": "5"}},
-		{"kv: KEYS = 100 , ops=5", "kv", workloads.Params{"keys": "100", "ops": "5"}},
-	}
-	for _, tc := range good {
-		name, params, err := SplitAppSpec(tc.spec)
-		if err != nil {
-			t.Errorf("SplitAppSpec(%q): %v", tc.spec, err)
-			continue
-		}
-		if name != tc.name || fmt.Sprint(params) != fmt.Sprint(tc.want) {
-			t.Errorf("SplitAppSpec(%q) = %q %v, want %q %v", tc.spec, name, params, tc.name, tc.want)
-		}
-	}
-	bad := []string{"", "  ", ":keys=1", "kv:", "kv:keys", "kv:=1", "kv:keys=", "kv:keys=1,keys=2"}
-	for _, spec := range bad {
-		if _, _, err := SplitAppSpec(spec); err == nil {
-			t.Errorf("SplitAppSpec(%q) accepted", spec)
-		}
-	}
+// builds counts the constructions of the "normalize-counter" workload,
+// registered for TestNormalizeBuildsNothing.
+var builds int
+
+func init() {
+	workloads.Register(workloads.Descriptor{
+		Name:   "normalize-counter",
+		Params: []workloads.Param{workloads.Count("ops", 4)},
+		New: func(workloads.Size, workloads.App) prism.Workload {
+			builds++
+			return nil
+		},
+	})
 }
 
-func TestCanonicalAppSpec(t *testing.T) {
-	good := map[string]string{
-		"fft":                      "fft",
-		"FFT":                      "fft",
-		"Water-Nsq":                "water-nsq",
-		"waternsq":                 "water-nsq",
-		"kv":                       "kv",
-		"kv:shards=64":             "kv", // default-valued override drops out
-		"kv:ops=64,keys=100":       "kv:keys=100;ops=64",
-		"kv:keys=100;ops=64":       "kv:keys=100;ops=64",
-		"ZIPFFE:rounds=2,zipf=1.1": "zipf:zipf=1.1",
+// TestNormalizeBuildsNothing: normalizing a spec parses and checks
+// its apps without constructing a workload.
+func TestNormalizeBuildsNothing(t *testing.T) {
+	builds = 0
+	s := Spec{Size: "mini", Apps: []string{"Normalize-Counter:ops=004"}, Policies: []string{"SCOMA"}}
+	if err := s.Normalize(); err != nil {
+		t.Fatal(err)
 	}
-	for spec, want := range good {
-		got, err := CanonicalAppSpec(spec)
-		if err != nil {
-			t.Errorf("CanonicalAppSpec(%q): %v", spec, err)
-			continue
-		}
-		if got != want {
-			t.Errorf("CanonicalAppSpec(%q) = %q, want %q", spec, got, want)
-		}
-	}
-	if _, err := CanonicalAppSpec("nosuch:x=1"); !errors.Is(err, workloads.ErrUnknownWorkload) {
-		t.Errorf("unknown workload: got %v", err)
-	}
-	if _, err := CanonicalAppSpec("kv:bogus=1"); !errors.Is(err, workloads.ErrUnknownParam) {
-		t.Errorf("unknown param: got %v", err)
-	}
-	if _, err := CanonicalAppSpec("fft:shards=4"); !errors.Is(err, workloads.ErrUnknownParam) {
-		t.Errorf("param on parameterless workload: got %v", err)
+	if builds != 0 || s.Apps[0] != "normalize-counter" {
+		t.Errorf("Normalize built %d workloads and spelled the app %q; want 0 and normalize-counter", builds, s.Apps[0])
 	}
 }
 

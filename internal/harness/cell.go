@@ -15,12 +15,12 @@ import (
 
 // Cell is one run: an app under one policy at one size, with the knobs
 // a sweep hands each of its cells. Every machine the tools build for a
-// run goes through Cell.Config — the sweep's cells, prismsim's single
-// cell, prismtrace and .prismcase testcases (which embed a Cell) — so
+// run goes through Cell.Config — the sweep's cells (prismsim's too),
+// prismtrace and .prismcase testcases (which embed a Cell) — so
 // a cell means the same machine everywhere. Field types follow Spec.
 type Cell struct {
-	// App is the canonical app spec (AppLabel), or the name of a
-	// workload the caller builds itself (the chaos fuzzer, synth).
+	// App is the canonical app spec (workloads.App.String), or the
+	// name of a workload the caller builds itself (the chaos fuzzer).
 	App    string
 	Policy string
 	// Size is the data-set scale (ParseSize spelling; empty means ci).
@@ -76,15 +76,11 @@ func (c Cell) ConfigOn(cfg core.Config) (core.Config, error) {
 	return cfg, nil
 }
 
-// registered reports whether the cell's app names a registered
-// workload (and so can be sized by a SCOMA pass of itself).
+// registered reports whether the cell's app is a registered workload's
+// spec (and so can be sized by a SCOMA pass of itself).
 func (c Cell) registered() bool {
-	name, _, err := SplitAppSpec(c.App)
-	if err != nil {
-		return false
-	}
-	_, ok := workloads.Lookup(name)
-	return ok
+	_, err := workloads.ParseApp(c.App)
+	return err == nil
 }
 
 // Workload builds a fresh instance of the cell's app (workloads carry
@@ -94,7 +90,11 @@ func (c Cell) Workload() (prism.Workload, error) {
 	if err != nil {
 		return nil, err
 	}
-	return NewWorkloadSpec(c.App, size)
+	app, err := workloads.ParseApp(c.App)
+	if err != nil {
+		return nil, err
+	}
+	return app.New(size)
 }
 
 // Sized returns the cell with the page-cache caps it runs with. A

@@ -134,17 +134,19 @@ func TestSweepCanonicalizesPolicies(t *testing.T) {
 
 // TestCellConfigRefusesUnsizedCappedCell: a capped cell on a registered
 // workload without caps would run uncapped — SCOMA under another
-// label — so Config refuses it in one line. Workloads the caller builds
-// itself (the chaos fuzzer, synth) are not sized and pass.
+// label — so Config refuses it in one line. A workload the caller builds
+// itself (the chaos fuzzer) is not sized and passes.
 func TestCellConfigRefusesUnsizedCappedCell(t *testing.T) {
-	_, err := Cell{App: "fft", Policy: "SCOMA-70", Size: "mini"}.Config()
-	if err == nil || strings.Contains(err.Error(), "\n") {
-		t.Errorf("unsized fft/SCOMA-70: err %v, want one line", err)
+	for _, app := range []string{"fft", "synth:ops=100"} {
+		_, err := Cell{App: app, Policy: "SCOMA-70", Size: "mini"}.Config()
+		if err == nil || strings.Contains(err.Error(), "\n") {
+			t.Errorf("unsized %s/SCOMA-70: err %v, want one line", app, err)
+		}
 	}
 	for _, c := range []Cell{
 		{App: "fft", Policy: "SCOMA-70", Size: "mini", Caps: []int{1, 1, 1, 1, 1, 1, 1, 1}},
 		{App: "fft", Policy: "LANUMA", Size: "mini"},
-		{App: "synth", Policy: "Dyn-LRU"},
+		{App: "chaos", Policy: "Dyn-LRU"},
 	} {
 		if _, err := c.Config(); err != nil {
 			t.Errorf("%+v: %v", c, err)

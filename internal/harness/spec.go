@@ -21,7 +21,7 @@ type Spec struct {
 	// Apps is the application subset in sweep order (default all
 	// eight SPLASH kernels). Entries are app specs — `name` or
 	// `name:key=val,key=val` — and normalize to their canonical
-	// spelling (registered name, sorted non-default parameters).
+	// spelling (workloads.App.String).
 	Apps []string `json:"apps"`
 	// Policies is the policy subset (default the Figure 7 six).
 	Policies []string `json:"policies"`
@@ -60,15 +60,14 @@ func (s *Spec) Normalize() error {
 	apps := make([]string, len(s.Apps))
 	seen := map[string]bool{}
 	for i, a := range s.Apps {
-		canon, err := CanonicalAppSpec(a)
+		app, err := workloads.ParseApp(a)
 		if err != nil {
 			return err
 		}
-		// Canonicalization resolves the name and parameter keys; a
-		// throwaway build validates parameter values and size support.
-		if _, err := NewWorkloadSpec(canon, size); err != nil {
+		if err := app.CheckSize(size); err != nil {
 			return err
 		}
+		canon := app.String()
 		apps[i] = canon
 		if seen[canon] {
 			return fmt.Errorf("harness: duplicate app %q in spec", canon)

@@ -46,6 +46,23 @@ func TestDigestCanonicalization(t *testing.T) {
 	if a.Apps[0] != "kv:keys=4096;ops=64" {
 		t.Errorf("normalized app spec = %q", a.Apps[0])
 	}
+
+	// Values have one spelling: a value written another way shares
+	// the digest of its canonical form.
+	for spelled, canon := range map[string]string{
+		"kv:shards=064":        "kv",
+		"kv:shards=+64":        "kv",
+		"kv:keys=0100;ops=+64": "kv:keys=100;ops=64",
+		"zipf:zipf=0.90":       "zipf",
+		"zipf:zipf=.9":         "zipf",
+		"zipf:zipf=11e-1":      "zipf:zipf=1.1",
+	} {
+		a := normalized(t, harness.Spec{Size: "dc64", Apps: []string{spelled}, Policies: []string{"SCOMA"}})
+		b := normalized(t, harness.Spec{Size: "dc64", Apps: []string{canon}, Policies: []string{"SCOMA"}})
+		if a.Apps[0] != canon || Digest(a) != Digest(b) {
+			t.Errorf("%q normalizes to %q, digest %.12s; %q digests to %.12s", spelled, a.Apps[0], Digest(a), canon, Digest(b))
+		}
+	}
 }
 
 // Every knob must feed the digest: flipping any single one produces a

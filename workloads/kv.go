@@ -49,45 +49,25 @@ type KV struct {
 func init() {
 	Register(Descriptor{
 		Name: "kv",
-		DefaultParams: Params{
-			"shards":   "64",
-			"keys":     "32768",
-			"ops":      "256",
-			"rounds":   "2",
-			"zipf":     "0.9",
-			"writepct": "30",
+		Params: []Param{
+			Count("shards", 64),
+			Count("keys", 32768),
+			Count("ops", 256),
+			Count("rounds", 2),
+			Positive("zipf", 0.9),
+			Percent("writepct", 30, 1),
 		},
-		New: func(size Size, p Params) (prism.Workload, error) { return newKV(p) },
+		Check: func(a App) error {
+			if a.Int("keys") < a.Int("shards") {
+				return fmt.Errorf("keys=%d < shards=%d", a.Int("keys"), a.Int("shards"))
+			}
+			return nil
+		},
+		New: func(_ Size, a App) prism.Workload {
+			return &KV{shards: a.Int("shards"), keys: a.Int("keys"), ops: a.Int("ops"),
+				rounds: a.Int("rounds"), writepct: a.Int("writepct"), zipfs: a.Float("zipf")}
+		},
 	})
-}
-
-func newKV(p Params) (*KV, error) {
-	w := &KV{}
-	var err error
-	if w.shards, err = p.Int("shards"); err != nil {
-		return nil, err
-	}
-	if w.keys, err = p.Int("keys"); err != nil {
-		return nil, err
-	}
-	if w.ops, err = p.Int("ops"); err != nil {
-		return nil, err
-	}
-	if w.rounds, err = p.Int("rounds"); err != nil {
-		return nil, err
-	}
-	if w.zipfs, err = p.Float("zipf"); err != nil {
-		return nil, err
-	}
-	wp, err := p.Int("writepct")
-	if err != nil || wp > 100 {
-		return nil, fmt.Errorf("%w: writepct=%q (want 1..100)", ErrBadParam, p["writepct"])
-	}
-	w.writepct = wp
-	if w.keys < w.shards {
-		return nil, fmt.Errorf("%w: keys=%d < shards=%d", ErrBadParam, w.keys, w.shards)
-	}
-	return w, nil
 }
 
 // Name implements prism.Workload.

@@ -44,40 +44,24 @@ type PubSub struct {
 func init() {
 	Register(Descriptor{
 		Name: "pubsub",
-		DefaultParams: Params{
-			"topics":  "256",
-			"subs":    "8",
-			"msgs":    "4",
-			"payload": "512",
-			"rounds":  "3",
+		Params: []Param{
+			Count("topics", 256),
+			Count("subs", 8),
+			Count("msgs", 4),
+			Count("payload", 512),
+			Count("rounds", 3),
 		},
-		New: func(size Size, p Params) (prism.Workload, error) { return newPubSub(p) },
+		Check: func(a App) error {
+			if a.Int("payload")%8 != 0 {
+				return fmt.Errorf("payload=%d (want a multiple of 8 bytes)", a.Int("payload"))
+			}
+			return nil
+		},
+		New: func(_ Size, a App) prism.Workload {
+			return &PubSub{topics: a.Int("topics"), subs: a.Int("subs"), msgs: a.Int("msgs"),
+				payload: a.Int("payload"), words: a.Int("payload") / 8, rounds: a.Int("rounds")}
+		},
 	})
-}
-
-func newPubSub(p Params) (*PubSub, error) {
-	w := &PubSub{}
-	var err error
-	if w.topics, err = p.Int("topics"); err != nil {
-		return nil, err
-	}
-	if w.subs, err = p.Int("subs"); err != nil {
-		return nil, err
-	}
-	if w.msgs, err = p.Int("msgs"); err != nil {
-		return nil, err
-	}
-	if w.payload, err = p.Int("payload"); err != nil {
-		return nil, err
-	}
-	if w.rounds, err = p.Int("rounds"); err != nil {
-		return nil, err
-	}
-	if w.payload%8 != 0 {
-		return nil, fmt.Errorf("%w: payload=%d (want a multiple of 8 bytes)", ErrBadParam, w.payload)
-	}
-	w.words = w.payload / 8
-	return w, nil
 }
 
 // Name implements prism.Workload.

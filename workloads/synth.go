@@ -53,11 +53,27 @@ type Synth struct {
 	hot    prism.VAddr
 }
 
-// Validate checks the configuration, returning a descriptive error for
-// each out-of-range field. CLIs call it before NewSynth so a bad flag
-// combination surfaces as a one-line error rather than the
-// constructor's panic.
-func (cfg SynthConfig) Validate() error {
+// init registers synth with three of its knobs as app parameters
+// (`synth:ops=5000;writes=40`); the rest keep DefaultSynthConfig.
+func init() {
+	Register(Descriptor{
+		Name: "synth",
+		Params: []Param{
+			Count("ops", 2000),
+			Percent("writes", 30, 0),
+			Percent("random", 25, 0),
+		},
+		New: func(_ Size, a App) prism.Workload {
+			cfg := DefaultSynthConfig()
+			cfg.OpsPerIter, cfg.WritePct, cfg.RandomPct = a.Int("ops"), a.Int("writes"), a.Int("random")
+			return NewSynth(cfg)
+		},
+	})
+}
+
+// validate returns a descriptive error for the first out-of-range
+// field.
+func (cfg SynthConfig) validate() error {
 	switch {
 	case cfg.SharedBytes <= 0:
 		return fmt.Errorf("workloads: synth SharedBytes must be positive, got %d", cfg.SharedBytes)
@@ -73,9 +89,11 @@ func (cfg SynthConfig) Validate() error {
 	return nil
 }
 
-// NewSynth builds a synthetic workload.
+// NewSynth builds a synthetic workload. It panics on an out-of-range
+// configuration; the registered synth's parameters are range-checked
+// before they get here.
 func NewSynth(cfg SynthConfig) *Synth {
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		panic(err)
 	}
 	return &Synth{cfg: cfg}

@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -61,11 +62,11 @@ func TestTrafficParamOverrides(t *testing.T) {
 	if kv.rounds != 2 {
 		t.Errorf("default rounds not preserved: %d", kv.rounds)
 	}
-	if _, err := NewWorkload("kv", MiniSize, Params{"ops": "zero"}); err == nil {
-		t.Error("malformed value accepted")
+	if _, err := NewWorkload("kv", MiniSize, Params{"ops": "zero"}); !errors.Is(err, ErrBadParam) {
+		t.Errorf("malformed value: %v", err)
 	}
-	if _, err := NewWorkload("pubsub", MiniSize, Params{"payload": "100"}); err == nil {
-		t.Error("unaligned payload accepted")
+	if _, err := NewWorkload("pubsub", MiniSize, Params{"payload": "100"}); !errors.Is(err, ErrBadParam) {
+		t.Errorf("unaligned payload: %v", err)
 	}
 }
 

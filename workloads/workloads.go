@@ -128,31 +128,28 @@ func ConfigForSize(s Size) prism.Config {
 }
 
 // init registers the eight SPLASH kernels of Table 2, in the paper's
-// order. The traffic-shaped workloads register in their own files.
+// order. The other workloads register in their own files.
 func init() {
-	wrap := func(f func(Size) prism.Workload) func(Size, Params) (prism.Workload, error) {
-		return func(s Size, _ Params) (prism.Workload, error) { return f(s), nil }
-	}
 	Register(Descriptor{Name: "barnes", Paper: true, Sizes: PaperSizes,
-		New: wrap(func(s Size) prism.Workload { return NewBarnes(s) })})
+		New: func(s Size, _ App) prism.Workload { return NewBarnes(s) }})
 	Register(Descriptor{Name: "fft", Paper: true, Sizes: PaperSizes,
-		New: wrap(func(s Size) prism.Workload { return NewFFT(s) })})
+		New: func(s Size, _ App) prism.Workload { return NewFFT(s) }})
 	Register(Descriptor{Name: "lu", Paper: true, Sizes: PaperSizes,
-		New: wrap(func(s Size) prism.Workload { return NewLU(s) })})
+		New: func(s Size, _ App) prism.Workload { return NewLU(s) }})
 	Register(Descriptor{Name: "mp3d", Paper: true, Sizes: PaperSizes,
-		New: wrap(func(s Size) prism.Workload { return NewMP3D(s) })})
+		New: func(s Size, _ App) prism.Workload { return NewMP3D(s) }})
 	Register(Descriptor{Name: "ocean", Paper: true, Sizes: PaperSizes,
-		New: wrap(func(s Size) prism.Workload { return NewOcean(s) })})
+		New: func(s Size, _ App) prism.Workload { return NewOcean(s) }})
 	Register(Descriptor{Name: "radix", Paper: true, Sizes: PaperSizes,
-		New: wrap(func(s Size) prism.Workload { return NewRadix(s) })})
+		New: func(s Size, _ App) prism.Workload { return NewRadix(s) }})
 	Register(Descriptor{Name: "water-nsq", Aliases: []string{"waternsq"}, Paper: true, Sizes: PaperSizes,
-		New: wrap(func(s Size) prism.Workload { return NewWaterNsq(s) })})
+		New: func(s Size, _ App) prism.Workload { return NewWaterNsq(s) }})
 	Register(Descriptor{Name: "water-spa", Aliases: []string{"waterspa"}, Paper: true, Sizes: PaperSizes,
-		New: wrap(func(s Size) prism.Workload { return NewWaterSpa(s) })})
+		New: func(s Size, _ App) prism.Workload { return NewWaterSpa(s) }})
 }
 
 // Names lists the paper's workloads in Table 2 order — the default
-// sweep set. AllNames includes the traffic-shaped extras.
+// sweep set. AllNames includes the other registered workloads.
 func Names() []string {
 	var out []string
 	for _, d := range regOrder {

@@ -39,33 +39,17 @@ func init() {
 	Register(Descriptor{
 		Name:    "zipf",
 		Aliases: []string{"zipffe"},
-		DefaultParams: Params{
-			"pages":  "2048",
-			"ops":    "2048",
-			"rounds": "2",
-			"zipf":   "0.9",
+		Params: []Param{
+			Count("pages", 2048),
+			Count("ops", 2048),
+			Count("rounds", 2),
+			Positive("zipf", 0.9),
 		},
-		New: func(size Size, p Params) (prism.Workload, error) { return newZipfFE(p) },
+		New: func(_ Size, a App) prism.Workload {
+			return &ZipfFE{pages: a.Int("pages"), ops: a.Int("ops"), rounds: a.Int("rounds"),
+				zipfs: a.Float("zipf"), wordsPage: zipfPageBytes / 8}
+		},
 	})
-}
-
-func newZipfFE(p Params) (*ZipfFE, error) {
-	w := &ZipfFE{}
-	var err error
-	if w.pages, err = p.Int("pages"); err != nil {
-		return nil, err
-	}
-	if w.ops, err = p.Int("ops"); err != nil {
-		return nil, err
-	}
-	if w.rounds, err = p.Int("rounds"); err != nil {
-		return nil, err
-	}
-	if w.zipfs, err = p.Float("zipf"); err != nil {
-		return nil, err
-	}
-	w.wordsPage = zipfPageBytes / 8
-	return w, nil
 }
 
 // Name implements prism.Workload.
